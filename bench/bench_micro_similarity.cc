@@ -5,10 +5,15 @@
 //    here as the baseline) vs. er::JaccardTokenSimilarity's thread-local
 //    sort-and-intersect.
 //  * ngram: same comparison for trigram similarity.
-//  * edit: full Levenshtein vs. the banded threshold kernel the matcher
-//    uses (no old/new pair — both are current kernels).
+//  * edit: the Ukkonen banded DP the threshold matcher used before the
+//    bit-parallel kernel (rebuilt here as the baseline) vs. the current
+//    EditSimilarityAtLeast, on fresh patterns per call and on one pattern
+//    held fixed across the loop (the reduce loops' access pattern). The
+//    full-distance entries time EditDistance.
 //
 // `--json <path>` writes the results as BENCH_*.json (see bench_json.h).
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 #include <utility>
@@ -75,6 +80,56 @@ double OldNgramSimilarity(std::string_view a, std::string_view b, size_t n) {
   return OldJaccardOfSets({ga.begin(), ga.end()}, {gb.begin(), gb.end()});
 }
 
+// The threshold kernel as it was before the bit-parallel rewrite: a
+// Ukkonen-banded DP over one reused row.
+size_t OldBandedEditDistance(std::string_view a, std::string_view b,
+                             size_t bound) {
+  if (a.size() < b.size()) std::swap(a, b);
+  const size_t la = a.size(), lb = b.size();
+  if (la - lb > bound) return bound + 1;
+  if (lb == 0) return la;
+
+  const size_t kInf = bound + 1;
+  thread_local std::vector<size_t> row;
+  row.assign(lb + 1, kInf);
+  for (size_t j = 0; j <= std::min(lb, bound); ++j) row[j] = j;
+
+  for (size_t i = 1; i <= la; ++i) {
+    size_t jlo = (i > bound) ? i - bound : 1;
+    size_t jhi = std::min(lb, i + bound);
+    if (jlo > jhi) return bound + 1;
+    size_t prev_diag = (jlo == 1) ? ((i - 1 <= bound) ? i - 1 : kInf)
+                                  : row[jlo - 1];
+    size_t left = (jlo == 1 && i <= bound) ? i : kInf;
+    size_t row_min = kInf;
+    for (size_t j = jlo; j <= jhi; ++j) {
+      size_t up = row[j];
+      size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
+      size_t val = std::min({up == kInf ? kInf : up + 1,
+                             left == kInf ? kInf : left + 1,
+                             prev_diag == kInf ? kInf : prev_diag + cost});
+      val = std::min(val, kInf);
+      prev_diag = up;
+      row[j] = val;
+      left = val;
+      row_min = std::min(row_min, val);
+    }
+    if (jlo > 1) row[jlo - 1] = kInf;
+    if (row_min > bound) return bound + 1;
+  }
+  return row[lb];
+}
+
+bool OldEditSimilarityAtLeast(std::string_view a, std::string_view b,
+                              double threshold) {
+  size_t max_len = std::max(a.size(), b.size());
+  if (max_len == 0) return threshold <= 1.0;
+  if (threshold <= 0.0) return true;
+  double allowed = (1.0 - threshold) * static_cast<double>(max_len);
+  size_t bound = static_cast<size_t>(std::floor(allowed + 1e-9));
+  return OldBandedEditDistance(a, b, bound) <= bound;
+}
+
 void BenchJaccard(erlb::bench::MicroBench* mb) {
   auto pairs = MakeTitlePairs(256, true);
   size_t i = 0;
@@ -117,11 +172,30 @@ void BenchEdit(erlb::bench::MicroBench* mb) {
       g_sink = g_sink + static_cast<double>(erlb::er::EditDistance(a, b));
     });
     i = 0;
+    mb->Run("edit/old_banded_" + tag, [&] {
+      const auto& [a, b] = pairs[i++ & 255];
+      g_sink = g_sink + (OldEditSimilarityAtLeast(a, b, 0.8) ? 1.0 : 0.0);
+    });
+    // The entry name predates the bit-parallel kernel; it times the
+    // current threshold kernel.
+    i = 0;
     mb->Run("edit/banded_threshold_" + tag, [&] {
       const auto& [a, b] = pairs[i++ & 255];
       g_sink = g_sink + (erlb::er::EditSimilarityAtLeast(a, b, 0.8) ? 1.0 : 0.0);
     });
+    mb->Speedup("edit/speedup_" + tag, "edit/old_banded_" + tag,
+                "edit/banded_threshold_" + tag);
   }
+  // One `b` held fixed while `a` walks 256 entities, as in every reduce
+  // loop: the per-thread pattern table is built once, not per call.
+  auto pairs = MakeTitlePairs(256, false);
+  const std::string fixed = pairs[0].second;
+  size_t i = 0;
+  mb->Run("edit/fixed_pattern_dissimilar", [&] {
+    const std::string& a = pairs[i++ & 255].first;
+    g_sink = g_sink +
+             (erlb::er::EditSimilarityAtLeast(a, fixed, 0.8) ? 1.0 : 0.0);
+  });
 }
 
 }  // namespace

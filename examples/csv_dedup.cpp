@@ -17,6 +17,9 @@
 //
 // Flags (the fault-tolerance surface driven by tools/crash_harness.py):
 //   --execution=auto|in-memory|external   shuffle mode (default auto)
+//   --threads=N           worker threads per process (default: hardware
+//                         concurrency); --threads=1 runs map tasks one
+//                         at a time, so fault hit counts are deterministic
 //   --workers=N           shared-nothing execution: fork N worker
 //                         processes per job (multi-process mode); the
 //                         output is byte-identical to --workers=1 and to
@@ -60,6 +63,7 @@ struct Cli {
   bool input_given = false;
   bool auto_strategy = false;
   lb::StrategyKind strategy = lb::StrategyKind::kBlockSplit;
+  uint32_t threads = 0;  // 0 = hardware concurrency
   mr::ExecutionOptions execution;
   std::string plan_out;
   std::string report_json;
@@ -91,6 +95,14 @@ bool ParseCli(int argc, char** argv, Cli* cli) {
                        value.c_str());
           return false;
         }
+      } else if (name == "--threads") {
+        int threads = std::atoi(value.c_str());
+        if (threads < 1) {
+          std::fprintf(stderr, "--threads needs a positive count, got "
+                       "\"%s\"\n", value.c_str());
+          return false;
+        }
+        cli->threads = static_cast<uint32_t>(threads);
       } else if (name == "--workers") {
         int workers = std::atoi(value.c_str());
         if (workers < 1) {
@@ -148,6 +160,7 @@ bool ParseCli(int argc, char** argv, Cli* cli) {
 
 core::DataflowOptions DataflowOptionsFor(const Cli& cli) {
   core::DataflowOptions options;
+  options.num_workers = cli.threads;
   options.execution = cli.execution;
   return options;
 }

@@ -26,8 +26,8 @@ class Matcher {
 };
 
 /// The paper's matcher: normalized edit distance of one field (the title),
-/// match iff similarity >= threshold (0.8 in the paper). Uses the banded
-/// Levenshtein kernel for the threshold test.
+/// match iff similarity >= threshold (0.8 in the paper). Uses the bounded
+/// bit-parallel Levenshtein kernel for the threshold test.
 class EditDistanceMatcher : public Matcher {
  public:
   explicit EditDistanceMatcher(double threshold = 0.8, size_t field = 0);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -10,76 +12,127 @@ namespace erlb {
 namespace er {
 
 namespace {
-// Reused DP row buffers: the matchers call these kernels millions of
-// times from parallel reduce tasks, and per-call heap allocation
-// serializes on the allocator.
-std::vector<size_t>& TlsRow() {
-  thread_local std::vector<size_t> row;
-  return row;
+
+/// Per-thread pattern table for the bit-parallel kernel: bit i of
+/// peq[c * words + i / 64] (bit i % 64) is set iff pattern[i] == c. The
+/// reduce loops hold one entity fixed as `b` while the other side walks
+/// the buffer, so keeping the last pattern's table turns the O(|b|)
+/// rebuild into a content comparison. Keyed on content, never on the
+/// address: callers may reuse a buffer for a different string.
+struct PatternTable {
+  std::string pattern;
+  size_t words = 0;
+  std::vector<uint64_t> peq;
+  std::vector<uint64_t> columns;  // vp then vn, for patterns over 64 chars
+
+  void Load(std::string_view b) {
+    if (b.size() == pattern.size() &&
+        std::memcmp(b.data(), pattern.data(), b.size()) == 0) {
+      return;
+    }
+    const size_t new_words = (b.size() + 63) / 64;
+    if (new_words != words) {
+      words = new_words;
+      peq.assign(256 * words, 0);
+      columns.resize(2 * words);
+    } else {
+      SetBits(pattern, /*on=*/false);
+    }
+    pattern.assign(b);
+    SetBits(pattern, /*on=*/true);
+  }
+
+  /// Sets (or clears) exactly the table words that pattern `p` marks.
+  /// Locals keep the stores to `peq` from aliasing `words`/`pattern`.
+  void SetBits(std::string_view p, bool on) {
+    uint64_t* table = peq.data();
+    const size_t stride = words;
+    for (size_t i = 0; i < p.size(); ++i) {
+      uint64_t& word =
+          table[static_cast<unsigned char>(p[i]) * stride + i / 64];
+      word = on ? word | (uint64_t{1} << (i % 64)) : 0;
+    }
+  }
+};
+
+PatternTable& TlsPatternTable() {
+  thread_local PatternTable table;
+  return table;
 }
+
+/// Myers' bit-vector column step in Hyyrö's global edit-distance form,
+/// over `kWords` (or, when kWords == 0, `words` at run time) 64-bit
+/// words. vp/vn hold the vertical +1/-1 deltas of the current column of
+/// D[i][j] (i over pattern b, j over text a); the add carry and both
+/// shift carries run from word 0 upward, so the multi-word step is the
+/// single-word step on a wider integer. Returns D[m][n] exactly if it is
+/// <= bound, otherwise bound + 1.
+template <size_t kWords>
+size_t MyersDistance(const PatternTable& t, std::string_view a, size_t bound,
+                     uint64_t* vp, uint64_t* vn) {
+  const size_t words = kWords != 0 ? kWords : t.words;
+  const size_t m = t.pattern.size(), n = a.size();
+  const size_t last = words - 1;
+  const uint64_t top = uint64_t{1} << ((m - 1) % 64);
+  for (size_t w = 0; w < words; ++w) {
+    vp[w] = ~uint64_t{0};
+    vn[w] = 0;
+  }
+  size_t score = m;  // D[m][0]
+  for (size_t j = 0; j < n; ++j) {
+    const uint64_t* eq =
+        &t.peq[static_cast<unsigned char>(a[j]) * words];
+    uint64_t add_carry = 0, hp_carry = 1, hn_carry = 0;  // D[0][j] = j
+    for (size_t w = 0; w < words; ++w) {
+      const uint64_t x = eq[w] | vn[w];
+      const uint64_t sum1 = (x & vp[w]) + vp[w];
+      const uint64_t sum = sum1 + add_carry;
+      add_carry = (sum1 < vp[w]) | (sum < sum1);
+      const uint64_t d0 = (sum ^ vp[w]) | x;
+      const uint64_t hp = vn[w] | ~(d0 | vp[w]);
+      const uint64_t hn = d0 & vp[w];
+      if (w == last) {
+        score += (hp & top) != 0;
+        score -= (hn & top) != 0;
+      }
+      const uint64_t hp_shift = (hp << 1) | hp_carry;
+      const uint64_t hn_shift = (hn << 1) | hn_carry;
+      hp_carry = hp >> 63;
+      hn_carry = hn >> 63;
+      vp[w] = hn_shift | ~(d0 | hp_shift);
+      vn[w] = hp_shift & d0;
+    }
+    // Each remaining column moves D[m][.] by at most one.
+    if (score > bound + (n - j - 1)) return bound + 1;
+  }
+  return score;
+}
+
 }  // namespace
 
 size_t EditDistance(std::string_view a, std::string_view b) {
-  if (a.size() < b.size()) std::swap(a, b);  // b is the shorter string
-  const size_t n = b.size();
-  if (n == 0) return a.size();
-
-  std::vector<size_t>& row = TlsRow();
-  row.assign(n + 1, 0);
-  for (size_t j = 0; j <= n; ++j) row[j] = j;
-  for (size_t i = 1; i <= a.size(); ++i) {
-    size_t prev_diag = row[0];  // D[i-1][0]
-    row[0] = i;
-    for (size_t j = 1; j <= n; ++j) {
-      size_t cur = row[j];  // D[i-1][j]
-      size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      row[j] = std::min({row[j] + 1,        // deletion
-                         row[j - 1] + 1,    // insertion
-                         prev_diag + cost}  // substitution
-      );
-      prev_diag = cur;
-    }
-  }
-  return row[n];
+  return EditDistanceBounded(a, b, std::max(a.size(), b.size()));
 }
 
 size_t EditDistanceBounded(std::string_view a, std::string_view b,
                            size_t bound) {
-  if (a.size() < b.size()) std::swap(a, b);
-  const size_t la = a.size(), lb = b.size();
-  if (la - lb > bound) return bound + 1;
-  if (lb == 0) return la;
+  // No distance exceeds the longer length; clamping keeps the
+  // early-exit arithmetic below from overflowing.
+  bound = std::min(bound, std::max(a.size(), b.size()));
+  const size_t gap =
+      a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
+  if (gap > bound) return bound + 1;
+  if (b.empty()) return a.size();
+  if (a.empty()) return b.size();
 
-  // Ukkonen band: only cells with |i - j| <= bound can hold values <= bound.
-  const size_t kInf = bound + 1;
-  std::vector<size_t>& row = TlsRow();
-  row.assign(lb + 1, kInf);
-  for (size_t j = 0; j <= std::min(lb, bound); ++j) row[j] = j;
-
-  for (size_t i = 1; i <= la; ++i) {
-    size_t jlo = (i > bound) ? i - bound : 1;
-    size_t jhi = std::min(lb, i + bound);
-    if (jlo > jhi) return bound + 1;
-    size_t prev_diag = (jlo == 1) ? ((i - 1 <= bound) ? i - 1 : kInf)
-                                  : row[jlo - 1];
-    size_t left = (jlo == 1 && i <= bound) ? i : kInf;  // D[i][jlo-1]
-    size_t row_min = kInf;
-    for (size_t j = jlo; j <= jhi; ++j) {
-      size_t up = row[j];  // D[i-1][j]
-      size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      size_t val = std::min({up == kInf ? kInf : up + 1,
-                             left == kInf ? kInf : left + 1,
-                             prev_diag == kInf ? kInf : prev_diag + cost});
-      val = std::min(val, kInf);
-      prev_diag = up;
-      row[j] = val;
-      left = val;
-      row_min = std::min(row_min, val);
-    }
-    if (jlo > 1) row[jlo - 1] = kInf;  // cell left of band is dead now
-    if (row_min > bound) return bound + 1;
+  PatternTable& t = TlsPatternTable();
+  t.Load(b);
+  if (t.words == 1) {
+    uint64_t vp, vn;
+    return MyersDistance<1>(t, a, bound, &vp, &vn);
   }
-  return row[lb];
+  return MyersDistance<0>(t, a, bound, t.columns.data(),
+                          t.columns.data() + t.words);
 }
 
 double EditSimilarity(std::string_view a, std::string_view b) {
@@ -91,9 +144,10 @@ double EditSimilarity(std::string_view a, std::string_view b) {
 
 bool EditSimilarityAtLeast(std::string_view a, std::string_view b,
                            double threshold) {
+  // Similarity never exceeds 1; a NaN threshold is never met.
+  if (!(threshold <= 1.0)) return false;
   size_t max_len = std::max(a.size(), b.size());
-  if (max_len == 0) return threshold <= 1.0;
-  if (threshold <= 0.0) return true;
+  if (max_len == 0 || threshold <= 0.0) return true;
   // sim >= t  <=>  dist <= (1 - t) * max_len
   double allowed = (1.0 - threshold) * static_cast<double>(max_len);
   size_t bound = static_cast<size_t>(std::floor(allowed + 1e-9));

@@ -13,13 +13,24 @@ namespace erlb {
 namespace er {
 
 /// Levenshtein edit distance (insert/delete/substitute, unit costs).
-/// O(|a|·|b|) time, O(min(|a|,|b|)) space.
+/// Same kernel as EditDistanceBounded with bound max(|a|, |b|).
 size_t EditDistance(std::string_view a, std::string_view b);
 
-/// Banded Levenshtein: returns the exact distance if it is <= `bound`,
-/// otherwise any value > `bound`. O(bound · min(|a|,|b|)) time; this is the
-/// kernel the threshold matcher uses (a similarity threshold t implies the
-/// band bound = floor((1-t) · max_len)).
+/// Bounded Levenshtein: returns the exact distance if it is <= `bound`,
+/// otherwise any value > `bound`. This is the kernel the threshold
+/// matcher uses (a similarity threshold t implies bound =
+/// floor((1-t) · max_len)).
+///
+/// Bit-parallel (Myers 1999, in Hyyrö's 2003 edit-distance form): the
+/// pattern is always `b`, packed 64 rows per machine word, and the text
+/// `a` is scanned one column at a time, so the cost is O(⌈|b|/64⌉ · |a|)
+/// word operations. Pairs whose length gap exceeds `bound` are rejected
+/// in O(1), and the scan stops as soon as the last row's score proves
+/// the distance exceeds `bound`.
+///
+/// Each thread keeps the pattern table of the last `b` it saw, keyed on
+/// its content. Loops that hold `b` fixed while `a` varies (as every
+/// reduce loop does) build the table once per sweep.
 size_t EditDistanceBounded(std::string_view a, std::string_view b,
                            size_t bound);
 
@@ -27,9 +38,9 @@ size_t EditDistanceBounded(std::string_view a, std::string_view b,
 /// Two empty strings have similarity 1.
 double EditSimilarity(std::string_view a, std::string_view b);
 
-/// True iff EditSimilarity(a,b) >= threshold; computed with the banded
+/// True iff EditSimilarity(a,b) >= threshold; computed with the bounded
 /// kernel, so much faster than computing the full similarity for
-/// non-matches.
+/// non-matches. A threshold above 1 (or NaN) is never met.
 bool EditSimilarityAtLeast(std::string_view a, std::string_view b,
                            double threshold);
 

@@ -12,12 +12,18 @@ asserts the resumed run is indistinguishable from an uninterrupted one:
   * the dataflow report JSON is identical after stripping wall-clock
     timings and the resume counter itself,
   * the resumed run actually skipped committed map tasks
-    (map_tasks_resumed > 0), and
+    (map_tasks_resumed > 0) when the kill came after a commit, and
   * stale spill temp dirs planted before the resume are swept.
 
-Both crash points are exercised — mid-map (some map tasks committed,
-some not) and mid-reduce (all map tasks committed) — for all three load
-balancing strategies. Stdlib only, like bench_compare.py.
+Three crash points are exercised for all three load balancing
+strategies: mid-map (some map tasks committed, some not), mid-reduce
+(all map tasks committed), and at the very first map attempt (nothing
+committed). The map cases run the child with --threads=1, so map tasks
+start one at a time and the N-th `task.map` hit comes after exactly
+N - 1 durable commits on any core count. A kill before the first commit
+has nothing to restore: its resumed run must re-execute every map task
+and still produce byte-identical output. Stdlib only, like
+bench_compare.py.
 
 A second leg covers the shared-nothing multi-process mode: the
 coordinator survives a SIGKILLed *worker* (ERLB_FAULT
@@ -128,10 +134,17 @@ def check(cond, msg):
         raise HarnessError(msg)
 
 
-def run_case(exe, work, input_csv, strategy, crash_site, trigger_hit):
-    """One crash point: reference run, killed run, resumed run, diff."""
+def run_case(exe, work, input_csv, strategy, crash_site, trigger_hit,
+             threads, expect_resume):
+    """One crash point: reference run, killed run, resumed run, diff.
+
+    `threads` (or None for the default pool) is passed to every child as
+    --threads; `expect_resume` says whether the kill came after at least
+    one durable map commit, so the resumed run must restore some tasks,
+    or before any, so it must re-execute them all."""
     label = f"{strategy}/{crash_site}@{trigger_hit}"
-    case_dir = os.path.join(work, f"{strategy}-{crash_site.split('.')[1]}")
+    case_dir = os.path.join(
+        work, f"{strategy}-{crash_site.split('.')[1]}{trigger_hit}")
     os.makedirs(case_dir, exist_ok=True)
     temp_dir = os.path.join(case_dir, "tmp")
     os.makedirs(temp_dir, exist_ok=True)
@@ -146,7 +159,7 @@ def run_case(exe, work, input_csv, strategy, crash_site, trigger_hit):
             f"--checkpoint-dir={checkpoint_dir}",
             f"--plan-out={os.path.join(case_dir, tag + '_plan.json')}",
             f"--report-json={os.path.join(case_dir, tag + '_report.json')}",
-        ]
+        ] + ([f"--threads={threads}"] if threads else [])
 
     # Uninterrupted reference, checkpointed like the crashing run so the
     # reports compare field for field.
@@ -196,9 +209,14 @@ def run_case(exe, work, input_csv, strategy, crash_site, trigger_hit):
           "timings")
     check(sum_resumed(ref_report) == 0,
           f"{label}: the uninterrupted reference claims resumed tasks")
-    check(sum_resumed(res_report) > 0,
-          f"{label}: the resumed run re-executed everything — nothing "
-          "was restored from the checkpoint")
+    if expect_resume:
+        check(sum_resumed(res_report) > 0,
+              f"{label}: the resumed run re-executed everything — nothing "
+              "was restored from the checkpoint")
+    else:
+        check(sum_resumed(res_report) == 0,
+              f"{label}: the kill came before any map commit, yet the "
+              "resumed run claims restored tasks")
 
     check(not os.path.isdir(planted),
           f"{label}: stale temp dir was not swept on resume")
@@ -321,11 +339,16 @@ def main():
     failures = []
     for strategy in args.strategies.split(","):
         strategy = strategy.strip()
-        # Mid-map: the third map-task attempt dies with tasks 1-2
-        # committed. Mid-reduce: all maps committed, second reduce dies.
-        for site, hit in (("task.map", 3), ("task.reduce", 2)):
+        # Mid-map: on one thread the third map-task attempt dies with
+        # tasks 1-2 committed. First map: the kill precedes every commit.
+        # Mid-reduce: all maps committed, second reduce dies.
+        cases = (("task.map", 3, 1, True),
+                 ("task.map", 1, 1, False),
+                 ("task.reduce", 2, None, True))
+        for site, hit, threads, expect_resume in cases:
             try:
-                run_case(args.exe, work, input_csv, strategy, site, hit)
+                run_case(args.exe, work, input_csv, strategy, site, hit,
+                         threads, expect_resume)
             except HarnessError as e:
                 failures.append(str(e))
                 log(f"FAIL: {e}")
