@@ -10,17 +10,25 @@
 //    EditSimilarityAtLeast, on fresh patterns per call and on one pattern
 //    held fixed across the loop (the reduce loops' access pattern). The
 //    full-distance entries time EditDistance.
+//  * cluster: the std::unordered_map union-find with a std::map regroup
+//    that er::ClusterMatches used before the flat-array rewrite (rebuilt
+//    here as the baseline) vs. the current ClusterMatches, on one
+//    match result shaped like a dense dedup's (small near-duplicate
+//    cliques over sparse ids).
 //
 // `--json <path>` writes the results as BENCH_*.json (see bench_json.h).
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "bench_json.h"
 #include "common/random.h"
+#include "er/clustering.h"
 #include "er/similarity.h"
 
 namespace {
@@ -130,6 +138,78 @@ bool OldEditSimilarityAtLeast(std::string_view a, std::string_view b,
   return OldBandedEditDistance(a, b, bound) <= bound;
 }
 
+// ClusterMatches as it was before the flat-array rewrite: a hash-map
+// union-find (path halving, union by size), then a std::map regroup
+// that pushes both endpoints of every pair.
+erlb::er::Clusters OldMapClusterMatches(const erlb::er::MatchResult& m) {
+  std::unordered_map<uint64_t, uint64_t> parent, size;
+  auto find = [&](uint64_t id) {
+    if (parent.emplace(id, id).second) size[id] = 1;
+    uint64_t root = id;
+    while (parent[root] != root) {
+      parent[root] = parent[parent[root]];
+      root = parent[root];
+    }
+    return root;
+  };
+  for (const auto& p : m.pairs()) {
+    uint64_t ra = find(p.first), rb = find(p.second);
+    if (ra == rb) continue;
+    if (size[ra] < size[rb]) std::swap(ra, rb);
+    parent[rb] = ra;
+    size[ra] += size[rb];
+  }
+  std::map<uint64_t, std::vector<uint64_t>> by_root;
+  for (const auto& p : m.pairs()) {
+    by_root[find(p.first)].push_back(p.first);
+    by_root[find(p.second)].push_back(p.second);
+  }
+  erlb::er::Clusters clusters;
+  for (auto& [root, members] : by_root) {
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()),
+                  members.end());
+    if (members.size() >= 2) clusters.push_back(std::move(members));
+  }
+  std::sort(clusters.begin(), clusters.end(),
+            [](const auto& a, const auto& b) { return a[0] < b[0]; });
+  return clusters;
+}
+
+// 12,000 cliques of 2..11 entities (~78k ids, ~264k pairs), emitted
+// clique by clique as a reduce phase does. Ids are a shuffled sparse
+// range, so neither the old nor the new path sees them in order.
+erlb::er::MatchResult MakeDenseMatches() {
+  Pcg32 rng(13);
+  std::vector<uint64_t> ids(12000 * 11);
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = 1000003 + 7 * i;
+  for (size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[rng.NextBounded(static_cast<uint32_t>(i + 1))]);
+  }
+  erlb::er::MatchResult m;
+  size_t next = 0;
+  for (int c = 0; c < 12000; ++c) {
+    const size_t k = 2 + rng.NextBounded(10);
+    for (size_t a = 0; a < k; ++a) {
+      for (size_t b = a + 1; b < k; ++b) m.Add(ids[next + a], ids[next + b]);
+    }
+    next += k;
+  }
+  return m;
+}
+
+void BenchCluster(erlb::bench::MicroBench* mb) {
+  const erlb::er::MatchResult m = MakeDenseMatches();
+  mb->Run("cluster/old_map_union_find", [&] {
+    g_sink = g_sink + static_cast<double>(OldMapClusterMatches(m).size());
+  });
+  mb->Run("cluster/flat", [&] {
+    g_sink = g_sink + static_cast<double>(erlb::er::ClusterMatches(m).size());
+  });
+  mb->Speedup("cluster/speedup", "cluster/old_map_union_find",
+              "cluster/flat");
+}
+
 void BenchJaccard(erlb::bench::MicroBench* mb) {
   auto pairs = MakeTitlePairs(256, true);
   size_t i = 0;
@@ -206,5 +286,6 @@ int main(int argc, char** argv) {
   BenchJaccard(&mb);
   BenchNgram(&mb);
   BenchEdit(&mb);
+  BenchCluster(&mb);
   return mb.Finish();
 }

@@ -106,7 +106,8 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> keys(m);
   for (uint32_t p = 0; p < m; ++p) {
     for (int i = 0; i < 4000; ++i) {
-      keys[p].push_back("k" + std::to_string(zipf.Sample(&key_rng)));
+      const std::string key = std::to_string(zipf.Sample(&key_rng));
+      keys[p].push_back("k" + key);
     }
   }
   auto base = bdm::Bdm::FromKeys(keys);

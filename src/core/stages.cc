@@ -1,5 +1,6 @@
 #include "core/stages.h"
 
+#include <string>
 #include <utility>
 
 #include "lb/basic.h"
@@ -178,6 +179,17 @@ Status MatchStage::Run(DataflowContext* ctx) {
       lb::MatchJobOutput out,
       strategy->ExecutePlan(**plan, **annotated, *bdm, *matcher_,
                             ctx->runner()));
+  // The plan is computed from the BDM alone and fixes every comparison
+  // the job makes; a different executed count means the plan does not
+  // describe this input (or the job lost or repeated work).
+  const uint64_t planned = (*plan)->stats().total_comparisons;
+  if (static_cast<uint64_t>(out.comparisons) != planned) {
+    const std::string executed = std::to_string(out.comparisons);
+    const std::string predicted = std::to_string(planned);
+    return Status::Internal("match job executed " + executed +
+                            " comparisons but its plan predicts " +
+                            predicted);
+  }
   ctx->report().job = std::move(out.metrics);
   ctx->report().comparisons = out.comparisons;
   ctx->report().plan = *plan;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 #include "er/entity.h"
 #include "er/matcher.h"
@@ -120,6 +127,146 @@ TEST(ClusteringPropertyTest, ClosureIsIdempotentOnRandomGraphs) {
     canon.Canonicalize();
     EXPECT_GE(closed.size(), canon.size());
   }
+}
+
+// ClusterMatches as it was before the flat-array rewrite: a hash-map
+// union-find (path halving, union by size) and a std::map regroup of
+// both endpoints of every pair. The oracle the differential tests
+// compare against, byte for byte.
+Clusters OracleClusterMatches(const MatchResult& matches) {
+  std::unordered_map<uint64_t, uint64_t> parent, size;
+  auto find = [&](uint64_t id) {
+    if (parent.emplace(id, id).second) size[id] = 1;
+    uint64_t root = id;
+    while (parent[root] != root) {
+      parent[root] = parent[parent[root]];
+      root = parent[root];
+    }
+    return root;
+  };
+  for (const auto& p : matches.pairs()) {
+    uint64_t ra = find(p.first), rb = find(p.second);
+    if (ra == rb) continue;
+    if (size[ra] < size[rb]) std::swap(ra, rb);
+    parent[rb] = ra;
+    size[ra] += size[rb];
+  }
+  std::map<uint64_t, std::vector<uint64_t>> by_root;
+  for (const auto& p : matches.pairs()) {
+    by_root[find(p.first)].push_back(p.first);
+    by_root[find(p.second)].push_back(p.second);
+  }
+  Clusters clusters;
+  for (auto& [root, members] : by_root) {
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()),
+                  members.end());
+    if (members.size() >= 2) clusters.push_back(std::move(members));
+  }
+  std::sort(clusters.begin(), clusters.end(),
+            [](const auto& a, const auto& b) { return a[0] < b[0]; });
+  return clusters;
+}
+
+// A pair stored exactly as given: MatchResult::Add and the MatchPair
+// constructor canonicalize, but MatchPair's fields are public and a
+// reversed pair can reach ClusterMatches through the vector constructor.
+MatchPair RawPair(uint64_t first, uint64_t second) {
+  MatchPair p;
+  p.first = first;
+  p.second = second;
+  return p;
+}
+
+void ExpectMatchesOracle(const std::vector<MatchPair>& pairs) {
+  const MatchResult m(pairs);
+  const Clusters want = OracleClusterMatches(m);
+  const Clusters got = ClusterMatches(m);
+  ASSERT_EQ(got.size(), want.size()) << pairs.size() << " pairs";
+  EXPECT_TRUE(got == want) << pairs.size() << " pairs";
+}
+
+TEST(ClusterMatchesDifferentialTest, SparseIdsSelfDuplicateReversedPairs) {
+  Pcg32 rng(211);
+  for (int iter = 0; iter < 60; ++iter) {
+    // A pool of sparse 64-bit ids that always holds both extremes.
+    const uint32_t pool_size = 2 + rng.NextBounded(iter < 30 ? 40 : 3000);
+    std::vector<uint64_t> pool{0, UINT64_MAX};
+    while (pool.size() < pool_size) {
+      const uint64_t hi = rng.Next(), lo = rng.Next();
+      // Every third id is small, so dense and sparse ids mix.
+      pool.push_back(pool.size() % 3 == 0 ? rng.NextBounded(64)
+                                          : (hi << 32) | lo);
+    }
+    auto pick = [&] {
+      return pool[rng.NextBounded(static_cast<uint32_t>(pool.size()))];
+    };
+    std::vector<MatchPair> pairs;
+    const uint32_t edges = rng.NextBounded(2 * pool_size);
+    for (uint32_t e = 0; e < edges; ++e) {
+      const uint64_t a = pick(), b = pick();
+      switch (rng.NextBounded(6)) {
+        case 0:  // self-pair
+          pairs.push_back(RawPair(a, a));
+          break;
+        case 1:  // reversed pair
+          pairs.push_back(RawPair(std::max(a, b), std::min(a, b)));
+          break;
+        case 2:  // duplicate of an earlier pair, maybe reversed
+          if (!pairs.empty()) {
+            MatchPair p = pairs[rng.NextBounded(
+                static_cast<uint32_t>(pairs.size()))];
+            if (rng.NextBounded(2) == 0) std::swap(p.first, p.second);
+            pairs.push_back(p);
+            break;
+          }
+          [[fallthrough]];
+        default:
+          pairs.emplace_back(a, b);
+      }
+    }
+    ExpectMatchesOracle(pairs);
+  }
+}
+
+TEST(ClusterMatchesDifferentialTest, DisjointEdgesGrowTheIdTable) {
+  // Every pair brings two new ids: four times the table's initial
+  // sizing, so the table rehashes several times on the way.
+  Pcg32 rng(5);
+  std::vector<MatchPair> pairs;
+  for (uint32_t i = 0; i < 50000; ++i) {
+    const uint64_t a = (static_cast<uint64_t>(rng.Next()) << 32) | i;
+    pairs.emplace_back(a, a ^ (uint64_t{1} << 63));
+  }
+  ExpectMatchesOracle(pairs);
+  EXPECT_EQ(ClusterMatches(MatchResult(pairs)).size(), 50000u);
+}
+
+TEST(ClusterMatchesDifferentialTest, LongChainInBothOrders) {
+  constexpr uint64_t kLen = 200000;
+  std::vector<MatchPair> up, down;
+  for (uint64_t i = 0; i + 1 < kLen; ++i) {
+    up.emplace_back(i, i + 1);
+    down.push_back(RawPair(kLen - 1 - i, kLen - 2 - i));
+  }
+  ExpectMatchesOracle(up);
+  ExpectMatchesOracle(down);
+  const Clusters clusters = ClusterMatches(MatchResult(down));
+  ASSERT_EQ(clusters.size(), 1u);
+  EXPECT_EQ(clusters[0].size(), kLen);
+}
+
+TEST(ClusterMatchesDifferentialTest, StarSelfPairAndEmpty) {
+  std::vector<MatchPair> star;
+  for (uint64_t leaf = 1; leaf <= 1000; ++leaf) {
+    star.emplace_back(UINT64_MAX, leaf * 0x9e3779b97f4a7c15ULL);
+  }
+  ExpectMatchesOracle(star);
+  ASSERT_EQ(ClusterMatches(MatchResult(star)).size(), 1u);
+  // A lone self-pair is a component of one entity: no cluster.
+  ExpectMatchesOracle({RawPair(42, 42)});
+  EXPECT_TRUE(ClusterMatches(MatchResult({RawPair(42, 42)})).empty());
+  ExpectMatchesOracle({});
 }
 
 TEST(JaroTest, KnownValues) {

@@ -10,7 +10,10 @@
 #include <vector>
 
 #include "bdm/bdm.h"
+#include "bdm/bdm_job.h"
 #include "common/random.h"
+#include "core/dataflow.h"
+#include "core/stages.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
 #include "lb/plan_io.h"
@@ -384,6 +387,93 @@ TEST(OptionValidationTest, SingleJobBasicRejectsInvalidOptions) {
           .status()
           .IsInvalidArgument());
 }
+
+// ---- Executed comparisons must equal the plan's -------------------------
+
+/// Runs the standard graph over `entities` (3 map tasks) with `plan`
+/// bound as the pre-built plan.
+Status RunStandardGraphWithPlan(const std::vector<er::Entity>& entities,
+                                const er::BlockingFunction& blocking,
+                                const er::Matcher& matcher,
+                                const MatchPlan& plan) {
+  core::DataflowOptions options;
+  options.num_workers = 2;
+  core::Dataflow df(options);
+  df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                      &entities, 3);
+  core::StandardGraphOptions graph;
+  graph.num_reduce_tasks = plan.num_reduce_tasks();
+  ERLB_RETURN_NOT_OK(
+      core::AddStandardGraph(&df, graph, &blocking, &matcher, "", &plan));
+  return df.Run().status();
+}
+
+class PlanExecutionGuardTest : public ::testing::TestWithParam<StrategyKind> {
+};
+
+TEST_P(PlanExecutionGuardTest, EditedTotalComparisonsFailsTheMatchStage) {
+  gen::SkewConfig cfg;
+  cfg.num_entities = 500;
+  cfg.num_blocks = 12;
+  cfg.skew = 0.8;
+  cfg.duplicate_fraction = 0.25;
+  cfg.seed = 1313;
+  auto entities = gen::GenerateSkewed(cfg);
+  ASSERT_TRUE(entities.ok());
+  er::AttributeBlocking blocking(gen::kSkewBlockField);
+  er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
+
+  // Plan over the BDM of the partitions the graph's source produces.
+  mr::JobRunner runner(2);
+  bdm::BdmJobOptions bdm_options;
+  bdm_options.num_reduce_tasks = 5;
+  auto bdm_out = bdm::RunBdmJob(er::SplitIntoPartitions(*entities, 3),
+                                blocking, bdm_options, runner);
+  ASSERT_TRUE(bdm_out.ok()) << bdm_out.status().ToString();
+  MatchJobOptions options;
+  options.num_reduce_tasks = 5;
+  auto plan = lb::MakeStrategy(GetParam())->BuildPlan(bdm_out->bdm, options);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  const std::string json = lb::MatchPlanToJson(*plan);
+  auto untouched = lb::MatchPlanFromJson(json);
+  ASSERT_TRUE(untouched.ok()) << untouched.status().ToString();
+  Status ok = RunStandardGraphWithPlan(*entities, blocking, matcher,
+                                       *untouched);
+  EXPECT_TRUE(ok.ok()) << ok.ToString();
+
+  // The same plan with one comparison too many in its stats.
+  const uint64_t planned = plan->stats().total_comparisons;
+  const std::string field = "\"total_comparisons\": ";
+  const std::string old_value = field + std::to_string(planned);
+  const std::string new_value = field + std::to_string(planned + 1);
+  std::string edited_json = json;
+  const size_t at = edited_json.find(old_value);
+  ASSERT_NE(at, std::string::npos);
+  edited_json.replace(at, old_value.size(), new_value);
+  auto edited = lb::MatchPlanFromJson(edited_json);
+  ASSERT_TRUE(edited.ok()) << edited.status().ToString();
+  ASSERT_EQ(edited->stats().total_comparisons, planned + 1);
+
+  Status st = RunStandardGraphWithPlan(*entities, blocking, matcher,
+                                       *edited);
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsInternal()) << st.ToString();
+  EXPECT_NE(st.ToString().find(std::to_string(planned) + " comparisons"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.ToString().find("predicts " + std::to_string(planned + 1)),
+            std::string::npos)
+      << st.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, PlanExecutionGuardTest,
+                         ::testing::Values(StrategyKind::kBasic,
+                                           StrategyKind::kBlockSplit,
+                                           StrategyKind::kPairRange),
+                         [](const auto& info) {
+                           return lb::StrategyName(info.param);
+                         });
 
 }  // namespace
 }  // namespace erlb

@@ -236,7 +236,8 @@ TEST(PresplitTest, StridedSampleIsDeterministic) {
   std::vector<std::vector<std::string>> partitions(3);
   for (int p = 0; p < 3; ++p) {
     for (int i = 0; i < 1000; ++i) {
-      partitions[p].push_back("k" + std::to_string((i + p * 17) % 200));
+      const std::string key = std::to_string((i + p * 17) % 200);
+      partitions[p].push_back("k" + key);
     }
   }
   auto key_of = [](const std::string& s) { return s; };
