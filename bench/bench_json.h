@@ -5,13 +5,15 @@
 // BENCH_*.json document via `--json <path>` so CI archives a data point
 // per commit and regressions are diffable. The harness deliberately has
 // no external dependency (Google Benchmark is optional in this repo) —
-// it times closures around a median-of-repetitions protocol and writes
+// it times closures around a best-of-repetitions protocol and writes
 // the JSON by hand.
 //
 // Protocol per benchmark: one untimed warm-up call, then `reps` timed
 // repetitions; within one repetition the closure runs as often as needed
 // to accumulate `min_rep_millis` of wall time. Reported nanos/op is the
-// median repetition's time divided by its iteration count. Before/after
+// fastest repetition's time divided by its iteration count: on a shared
+// host, interference only ever adds time, so the minimum is the most
+// reproducible estimate of the code's own cost. Before/after
 // pairs are registered with `Speedup`, which derives old/new from two
 // previously added results.
 #ifndef ERLB_BENCH_BENCH_JSON_H_
@@ -96,10 +98,10 @@ class MicroBench {
           static_cast<double>(iters);
       total_iters += iters;
     }
-    std::sort(nanos_per_op.begin(), nanos_per_op.end());
     MicroResult res;
     res.name = name;
-    res.nanos_per_op = nanos_per_op[nanos_per_op.size() / 2];
+    res.nanos_per_op =
+        *std::min_element(nanos_per_op.begin(), nanos_per_op.end());
     res.iterations = total_iters;
     results_.push_back(res);
     std::printf("%-40s %14.1f ns/op   (%lld iters)\n", name.c_str(),

@@ -3,9 +3,8 @@
 //
 //  * shuffle: the reduce-side shuffle kernel on m sorted runs — the old
 //    concatenate + stable_sort path (comparisons dispatched through
-//    std::function, as the old engine did) against the loser-tree k-way
-//    merge with an inlined comparator (what the engine runs now). The
-//    shuffle-dominated workload of the PR-2 acceptance gate.
+//    std::function, as the old engine did) against the k-way merge with
+//    an inlined comparator (what the in-memory run store runs now).
 //  * engine: one full JobRunner::Run of a counting job, std::function
 //    JobSpec vs. TypedJobSpec (devirtualized comp/group/part).
 //  * pipeline: end-to-end BlockSplit deduplication on a small product
@@ -103,11 +102,6 @@ void BenchShuffle(bench::MicroBench* mb) {
     auto out = mr::MergeSortedRuns(std::span(runs), inline_less);
     g_sink = g_sink + out.size() + out.front().second;
   });
-  mb->Run("shuffle/loser_tree_merge", [&] {
-    auto runs = master;
-    auto out = mr::LoserTreeMerge(std::span(runs), inline_less);
-    g_sink = g_sink + out.size() + out.front().second;
-  });
   mb->Speedup("shuffle/speedup", "shuffle/old_concat_sort_fn",
               "shuffle/new_kway_merge");
 }
@@ -190,14 +184,14 @@ void BenchEngine(bench::MicroBench* mb) {
 }
 
 // ---------------------------------------------------------------------
-// Scheduler comparison, two shapes:
+// Scheduler benches, two shapes:
 //  * skew: a Fig-9-style map phase — task sizes decay as e^(-s*k) over
 //    many tasks, so the phase has one dominant task and a long tail.
-//    Work stealing must hold the line here (the FIFO pool is already a
-//    dynamic list scheduler; the stealing path must not cost makespan).
+//    Work stealing must not cost makespan here.
 //  * overhead: thousands of near-empty tasks, where the per-task cost is
-//    the scheduler itself — the atomic shard claim against the pool's
-//    mutex + condvar handoff per task.
+//    the scheduler itself — the atomic shard claim, against a plain
+//    pool-submit baseline paying the pool's mutex + condvar handoff per
+//    task.
 // ---------------------------------------------------------------------
 
 void BenchSkewScheduler(bench::MicroBench* mb) {
@@ -224,22 +218,13 @@ void BenchSkewScheduler(bench::MicroBench* mb) {
   spec.key_less = [](const int& a, const int& b) { return a < b; };
   spec.group_equal = [](const int& a, const int& b) { return a == b; };
 
-  for (mr::TaskSchedulerKind kind :
-       {mr::TaskSchedulerKind::kFifo, mr::TaskSchedulerKind::kWorkStealing}) {
-    mr::ExecutionOptions options;
-    options.scheduler = kind;
-    mr::JobRunner runner(4, options);
-    mb->Run(std::string("skew/") + mr::TaskSchedulerKindName(kind),
-            [&runner, &spec, &input] {
-              auto result = runner.Run(spec, input);
-              ERLB_CHECK(result.status.ok());
-              g_sink = g_sink +
-                       static_cast<uint64_t>(
-                           result.metrics.TotalMapOutputPairs());
-            });
-  }
-  mb->Speedup("skew/work_stealing_vs_fifo", "skew/fifo",
-              "skew/work_stealing");
+  mr::JobRunner runner(4);
+  mb->Run("skew/work_stealing", [&runner, &spec, &input] {
+    auto result = runner.Run(spec, input);
+    ERLB_CHECK(result.status.ok());
+    g_sink = g_sink +
+             static_cast<uint64_t>(result.metrics.TotalMapOutputPairs());
+  });
 }
 
 void BenchSchedulerOverhead(bench::MicroBench* mb) {

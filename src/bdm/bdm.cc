@@ -181,7 +181,8 @@ void Bdm::BuildDerived() {
     }
   }
   const uint64_t h = sum.Digest();
-  content_hash_ = h != 0 ? h : 1;  // 0 is reserved for "hash unknown"
+  // Never 0: a default-constructed fingerprint must not match a real BDM.
+  content_hash_ = h != 0 ? h : 1;
 }
 
 Status Bdm::ApplyDelta(const std::vector<BdmDeltaEntry>& entries) {

@@ -259,7 +259,7 @@ class ErPipelineBuilder {
   }
   /// Durable checkpoint root for the run's external jobs: a rerun with
   /// the same config over the same input resumes past committed map
-  /// tasks (see mr/checkpoint.h). Requires a spillable execution mode —
+  /// tasks (see mr/task_commit.h). Requires a spillable execution mode —
   /// Validate() rejects the combination with kInMemory.
   ErPipelineBuilder& CheckpointDir(std::string dir) {
     config_.execution.checkpoint.dir = std::move(dir);

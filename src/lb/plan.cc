@@ -29,7 +29,7 @@ Status MatchPlan::ValidateFor(StrategyKind strategy,
     return Status::InvalidArgument(
         "plan body does not belong to the plan's strategy");
   }
-  if (!bdm_.CompatibleWith(BdmFingerprint::Of(bdm))) {
+  if (bdm_ != BdmFingerprint::Of(bdm)) {
     return Status::InvalidArgument(
         "plan was built for a different BDM (fingerprint mismatch: "
         "expected b=" +

@@ -89,10 +89,9 @@ struct BdmFingerprint {
   uint64_t total_entities = 0;
   uint64_t total_pairs = 0;
   /// The BDM's memoized content hash (bdm::Bdm::ContentHash) over keys,
-  /// cells, and source tags; 0 means "unknown" (a fingerprint parsed from
-  /// a pre-content-hash version 1 plan document). Shape alone is unsafe
-  /// as a cache identity — two different BDMs can agree on every count —
-  /// so the serve plan cache keys on this.
+  /// cells, and source tags. Shape alone is unsafe as an identity — two
+  /// different BDMs can agree on every count — so validation and the
+  /// serve plan cache key on this.
   uint64_t content_hash = 0;
 
   static BdmFingerprint Of(const bdm::Bdm& bdm) {
@@ -101,22 +100,8 @@ struct BdmFingerprint {
                           bdm.TotalPairs(),     bdm.ContentHash()};
   }
 
-  /// True iff the two fingerprints describe the same BDM as far as both
-  /// sides can tell: shape must agree exactly, content hashes must agree
-  /// when both are known. A version-1 document (hash 0) still validates
-  /// by shape against a live BDM.
-  bool CompatibleWith(const BdmFingerprint& other) const {
-    if (num_blocks != other.num_blocks ||
-        num_partitions != other.num_partitions ||
-        two_source != other.two_source ||
-        total_entities != other.total_entities ||
-        total_pairs != other.total_pairs) {
-      return false;
-    }
-    return content_hash == 0 || other.content_hash == 0 ||
-           content_hash == other.content_hash;
-  }
-
+  /// Two fingerprints describe the same BDM iff shape and content hash
+  /// agree exactly.
   friend bool operator==(const BdmFingerprint&,
                          const BdmFingerprint&) = default;
 };

@@ -12,11 +12,9 @@ namespace lb {
 
 namespace {
 
-// Version 2 added bdm.content_hash; version 1 documents (no hash) still
-// parse, yielding a fingerprint with content_hash 0 ("unknown") that
-// validates by shape only.
+// Version 2 added bdm.content_hash, which execution compares exactly;
+// version 1 documents (no hash) are rejected.
 constexpr char kFormat[] = "erlb.match_plan/2";
-constexpr char kFormatV1[] = "erlb.match_plan/1";
 
 const char* AssignmentName(TaskAssignment assignment) {
   switch (assignment) {
@@ -290,7 +288,7 @@ Result<MatchPlan> MatchPlanFromJson(std::string_view json) {
         "match plan JSON: document must be an object");
   }
   ERLB_ASSIGN_OR_RETURN(std::string format, ParseString(doc, "format"));
-  if (format != kFormat && format != kFormatV1) {
+  if (format != kFormat) {
     return Status::InvalidArgument("match plan JSON: unsupported format \"" +
                                    format + "\"");
   }
@@ -323,10 +321,8 @@ Result<MatchPlan> MatchPlanFromJson(std::string_view json) {
                         ParseU64(*bdm_json, "total_entities"));
   ERLB_ASSIGN_OR_RETURN(fingerprint.total_pairs,
                         ParseU64(*bdm_json, "total_pairs"));
-  if (Member(*bdm_json, "content_hash").ok()) {
-    ERLB_ASSIGN_OR_RETURN(fingerprint.content_hash,
-                          ParseU64(*bdm_json, "content_hash"));
-  }
+  ERLB_ASSIGN_OR_RETURN(fingerprint.content_hash,
+                        ParseU64(*bdm_json, "content_hash"));
 
   ERLB_ASSIGN_OR_RETURN(const Json* stats_json, Member(doc, "stats"));
   PlanStats stats;

@@ -1,5 +1,5 @@
-// In-memory and out-of-core MapReduce runtime with Hadoop-fidelity
-// semantics.
+// MapReduce runtime with Hadoop-fidelity semantics, in memory, out of
+// core, or across worker processes.
 //
 // The paper's algorithms rely on four user-pluggable functions beyond
 // map/reduce (Section II):
@@ -17,32 +17,40 @@
 //    output by comp (one "spill"), scatters it in order into one sorted
 //    run per reduce task, and each reduce task k-way merges its m runs
 //    (mr/merge.h) — O(N log m) instead of re-sorting the concatenation.
-//    Cross-run ties break on map-task index, so pairs
-//    with equal keys stay contiguous per origin map task in map-task
-//    order — the property Hadoop's merge of per-map sorted runs provides
-//    and Algorithm 1's streaming reduce for k.i×j match tasks depends on.
-//    The merged sequence is byte-identical to the engine's previous
-//    concatenate-then-stable-sort shuffle (differential-tested).
+//    Cross-run ties break on map-task index, so pairs with equal keys
+//    stay contiguous per origin map task in map-task order — the
+//    property Hadoop's merge of per-map sorted runs provides and
+//    Algorithm 1's streaming reduce for k.i×j match tasks depends on.
 //  * Optional combiner per map task (the BDM job's counting optimization).
-//  * Tasks run on a fixed-size worker pool in FIFO order, emulating a
-//    cluster with a fixed number of processes.
+//  * Tasks run on a fixed-size worker pool, emulating a cluster with a
+//    fixed number of processes; a work-stealing scheduler hands each
+//    phase's tasks to free slots.
 //
-// Execution modes. The shuffle runs in one of two ways, selected by
-// ExecutionOptions (per JobRunner) and producing byte-identical output:
+// There is one map-task body (map → sort → combine → partition → store)
+// and one reduce-task body (merged stream from the store → group →
+// reduce). The execution modes differ only in the run store behind them
+// (mr/run_store.h) and in who drives the phases, and all produce
+// byte-identical output:
 //
-//  * kInMemory — every map task's sorted runs stay in RAM until the
-//    reduce phase merges them (the engine's original behavior). Peak
-//    memory grows with the whole intermediate data set.
-//  * kExternal — each map task writes its sorted, partitioned output to a
-//    length-prefixed spill file (mr/spill.h) and frees it; each reduce
-//    task streams its m file-backed runs through the loser-tree k-way
-//    merge (mr/merge.h) with one bounded I/O buffer per run. Peak memory
-//    is O(largest map-task output + workers × m × io_buffer) instead of
-//    O(total intermediate data). Requires SpillCodec specializations for
-//    the intermediate key/value types.
+//  * kInMemory — RamRunStore: every map task's sorted runs stay in RAM
+//    until the reduce phase merges them. Peak memory grows with the whole
+//    intermediate data set.
+//  * kExternal — FileRunStore: each map task writes its runs to one
+//    length-prefixed spill file (mr/spill.h) and frees them; each reduce
+//    task streams its m file-backed runs through the loser-tree merge
+//    with one bounded I/O buffer per run. Peak memory is O(largest map
+//    output + workers × m × io_buffer). Requires SpillCodec
+//    specializations for the intermediate key/value types.
+//  * kMultiProcess — the same FileRunStore, with tasks sharded across
+//    forked worker processes by proc::Coordinator; results cross back
+//    through per-task commit records (mr/task_commit.h).
 //  * kAuto (default) picks kExternal when a sampled estimate of the input
 //    size exceeds spill_threshold_bytes and the types are spillable,
 //    kInMemory otherwise.
+//
+// A checkpoint directory makes the file store durable: every map task
+// commits a record, and a restarted job with the same input restores
+// committed tasks instead of re-executing them.
 //
 // Job wiring comes in two flavors. `JobSpec` stores part/comp/group as
 // `std::function`s — maximally flexible, one indirect call per key
@@ -74,15 +82,13 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "mr/checkpoint.h"
 #include "mr/counters.h"
-#include "mr/merge.h"
 #include "mr/metrics.h"
+#include "mr/run_store.h"
 #include "mr/spill.h"
 #include "mr/task_commit.h"
 #include "mr/task_scheduler.h"
 #include "proc/coordinator.h"
-#include "proc/wire.h"
 
 namespace erlb {
 namespace mr {
@@ -133,8 +139,8 @@ struct ExecutionOptions {
   /// deadline has its result discarded and counts as a DeadlineExceeded
   /// failure (retryable). 0 disables.
   uint64_t task_attempt_timeout_ms = 0;
-  /// Durable checkpoint configuration (mr/checkpoint.h). Only external-
-  /// mode jobs checkpoint; the in-memory fast path is unaffected.
+  /// Durable checkpoint configuration (mr/task_commit.h). Only jobs on
+  /// the file store checkpoint; the in-memory fast path is unaffected.
   CheckpointOptions checkpoint;
   /// kMultiProcess: number of worker processes to fork (>= 1). Leaving
   /// this 0 in multi-process mode is an InvalidArgument at Run() —
@@ -142,11 +148,6 @@ struct ExecutionOptions {
   /// that explicitly (core::Dataflow does for the WorkerProcesses(0)
   /// builder shorthand).
   uint32_t num_worker_processes = 0;
-  /// Intra-process task→thread scheduling for the threaded paths
-  /// (mr/task_scheduler.h). Work stealing by default; kFifo restores the
-  /// historical static submission order. Outputs are byte-identical
-  /// either way.
-  TaskSchedulerKind scheduler = TaskSchedulerKind::kWorkStealing;
 
   /// Rejects knob combinations no execution path can honor — zero
   /// buffers or attempt budgets, a missing process count in
@@ -263,13 +264,12 @@ struct TypedJobSpec {
   /// map task's successful attempt; its bytes are committed
   /// (checksummed) with the task's spill file. `decode_side_output` is
   /// called instead of re-execution when a completed task is restored
-  /// from a manifest; returning false (corrupt bytes) re-executes the
+  /// from its commit record; returning false (corrupt bytes) re-executes the
   /// task. Jobs without map-side effects leave both unset. The factory
   /// should also reset any side state for its task, keeping retried
   /// attempts self-contained.
-  std::function<std::string(uint32_t task_index)> encode_side_output;
-  std::function<bool(uint32_t task_index, std::string_view bytes)>
-      decode_side_output;
+  SideOutputEncoder encode_side_output;
+  SideOutputDecoder decode_side_output;
 
   uint32_t num_reduce_tasks = 1;
 };
@@ -335,8 +335,8 @@ class VectorReduceContext : public ReduceContext<K, V> {
 };
 
 // Single definition points for the task-lifecycle fault sites: every map
-// (reduce) attempt, in-memory and external alike, passes through exactly
-// one ERLB_FAULT_POINT occurrence of its site (the lint requires site
+// (reduce) attempt, in every mode, passes through exactly one
+// ERLB_FAULT_POINT occurrence of its site (the lint requires site
 // literals to be unique across the tree).
 [[nodiscard]] inline Status MapTaskFaultPoint() {
   ERLB_FAULT_POINT("task.map");
@@ -392,16 +392,13 @@ template <typename Attempt>
 /// Executes MR jobs on a worker pool.
 ///
 /// `num_workers` emulates the number of process slots available in the
-/// cluster. Each phase's tasks are driven by the scheduler selected in
-/// ExecutionOptions: work stealing by default (per-worker shards with
-/// atomic claim counters, mr/task_scheduler.h), or kFifo for the
-/// historical static order — tasks queued by index and handed to freed
-/// process slots like Hadoop's scheduler. Both produce byte-identical
-/// job output. By default one ThreadPool is constructed per Run() and
-/// reused across the map and reduce phases; a runner built over a shared
-/// pool (the dataflow-graph configuration, where one pool serves every
-/// job of a multi-job graph) submits to that pool instead of creating
-/// its own.
+/// cluster. Each phase's tasks are claimed by a work-stealing scheduler
+/// (per-worker shards with atomic claim counters, mr/task_scheduler.h);
+/// results are stored per task index, so the schedule never affects job
+/// output. By default one ThreadPool is constructed per Run() and reused
+/// across the map and reduce phases; a runner built over a shared pool
+/// (the dataflow-graph configuration, where one pool serves every job of
+/// a multi-job graph) submits to that pool instead of creating its own.
 class JobRunner {
  public:
   /// \param num_workers worker threads (process slots), >= 1.
@@ -418,9 +415,9 @@ class JobRunner {
   }
 
   /// A runner that executes every Run() on `shared_pool` (non-owning; the
-  /// pool must outlive the runner and is drained via Wait() between
-  /// phases, so sequential jobs may share it, concurrent ones may not).
-  /// The pool's thread count is the runner's process-slot count.
+  /// pool must outlive the runner and is drained between phases, so
+  /// sequential jobs may share it, concurrent ones may not). The pool's
+  /// thread count is the runner's process-slot count.
   JobRunner(ThreadPool* shared_pool, ExecutionOptions options)
       : num_workers_(shared_pool->num_threads()),
         options_(std::move(options)),
@@ -452,31 +449,29 @@ class JobRunner {
     ERLB_CHECK(!IsUnset(spec.group_equal));
     ERLB_CHECK(spec.num_reduce_tasks >= 1);
 
+    const auto m = static_cast<uint32_t>(input_partitions.size());
+    const uint32_t r = spec.num_reduce_tasks;
+    JobResult<typename Spec::OutKey, typename Spec::OutValue> result;
     if (Status options_status = options_.Validate(); !options_status.ok()) {
-      JobResult<typename Spec::OutKey, typename Spec::OutValue> result;
       result.status = std::move(options_status);
       return result;
     }
+    result.metrics.map_tasks.resize(m);
+    result.metrics.reduce_tasks.resize(r);
+    result.outputs_per_reduce_task.resize(r);
 
     constexpr bool kSpillableJob = Spillable<MidK> && Spillable<MidV>;
-    // The multi-process path additionally ships reduce outputs through
-    // spill files, so the output types must be spillable too.
-    constexpr bool kMultiProcessJob =
-        kSpillableJob && Spillable<typename Spec::OutKey> &&
-        Spillable<typename Spec::OutValue>;
-    bool external = false;
     if constexpr (kSpillableJob) {
-      switch (options_.mode) {
-        case ExecutionMode::kInMemory:
-          break;
-        case ExecutionMode::kExternal:
-        case ExecutionMode::kMultiProcess:
-          external = true;
-          break;
-        case ExecutionMode::kAuto:
-          external = EstimateInputBytes<Spec>(input_partitions) >
-                     options_.spill_threshold_bytes;
-          break;
+      bool external = true;
+      if (options_.mode == ExecutionMode::kInMemory) {
+        external = false;
+      } else if (options_.mode == ExecutionMode::kAuto) {
+        external = EstimateInputBytes<Spec>(input_partitions) >
+                   options_.spill_threshold_bytes;
+      }
+      if (external) {
+        RunOnFileStore(spec, input_partitions, &result);
+        return result;
       }
     } else {
       // Requesting the external path for a job whose intermediate types
@@ -488,35 +483,22 @@ class JobRunner {
           << " requires SpillCodec specializations for the intermediate "
              "key/value types";
     }
-
-    if (options_.mode == ExecutionMode::kMultiProcess) {
-      if constexpr (kMultiProcessJob) {
-        return RunMultiProcess<Spec>(spec, input_partitions);
-      } else {
-        ERLB_CHECK(kMultiProcessJob)
-            << "ExecutionMode::kMultiProcess requires SpillCodec "
-               "specializations for the intermediate AND output key/value "
-               "types (reduce outputs cross the process boundary as spill "
-               "runs)";
-      }
-    }
-    if constexpr (kSpillableJob) {
-      if (external) return RunExternal<Spec>(spec, input_partitions);
-    }
-    return RunInMemory<Spec>(spec, input_partitions);
+    const bool keep_inputs = options_.max_task_attempts > 1 ||
+                             options_.task_attempt_timeout_ms > 0;
+    RamRunStore<MidK, MidV> store(m, r, keep_inputs);
+    RunThreaded(spec, input_partitions, &store, /*resume=*/false, &result);
+    return result;
   }
 
  private:
   template <typename Spec>
   using SpecInput = std::vector<std::vector<
       std::pair<typename Spec::InKey, typename Spec::InValue>>>;
-
-  /// The full pending list of a phase: task indices 0..n-1.
-  static std::vector<uint32_t> AllTasks(uint32_t n) {
-    std::vector<uint32_t> tasks(n);
-    for (uint32_t t = 0; t < n; ++t) tasks[t] = t;
-    return tasks;
-  }
+  template <typename Spec>
+  using SpecResult = JobResult<typename Spec::OutKey, typename Spec::OutValue>;
+  template <typename Spec>
+  using SpecOutput =
+      std::vector<std::pair<typename Spec::OutKey, typename Spec::OutValue>>;
 
   /// True iff `f` is an unset std::function; plain functors are always
   /// considered set.
@@ -549,537 +531,246 @@ class JobRunner {
     return total;
   }
 
-  // ---- In-memory path ---------------------------------------------------
+  // ---- Phase drivers ----------------------------------------------------
 
+  /// kExternal and kMultiProcess: opens the job directory and runs the
+  /// job over a FileRunStore in it. Without a checkpoint dir the job
+  /// directory lives exactly as long as this call: the scoped dir removes
+  /// it (and every spill file) on success and error paths alike. With
+  /// one, spills and commit records are durable under
+  /// <checkpoint.dir>/job-<seq> and survive the process — a restarted job
+  /// with the same input resumes from them.
   template <typename Spec>
-  JobResult<typename Spec::OutKey, typename Spec::OutValue> RunInMemory(
-      const Spec& spec, const SpecInput<Spec>& input_partitions) const {
-    using OutK = typename Spec::OutKey;
-    using OutV = typename Spec::OutValue;
-    using MidK = typename Spec::MidKey;
-    using MidV = typename Spec::MidValue;
-
-    const uint32_t m = static_cast<uint32_t>(input_partitions.size());
-    const uint32_t r = spec.num_reduce_tasks;
-
-    JobResult<OutK, OutV> result;
-    result.metrics.map_tasks.resize(m);
-    result.metrics.reduce_tasks.resize(r);
-    result.outputs_per_reduce_task.resize(r);
-
-    Stopwatch job_watch;
-    std::optional<ThreadPool> owned_pool;
-    ThreadPool& pool = shared_pool_ != nullptr
-                           ? *shared_pool_
-                           : owned_pool.emplace(num_workers_);
-
-    // ---- Map phase ------------------------------------------------------
-    // buckets[map_task][reduce_task] -> run of intermediate pairs, sorted
-    // by comp within the run (as Hadoop sorts each spill).
-    std::vector<std::vector<std::vector<std::pair<MidK, MidV>>>> buckets(
-        m, std::vector<std::vector<std::pair<MidK, MidV>>>(r));
-
-    std::vector<Status> map_status(m);
-    Stopwatch map_watch;
-    RunTaskPhase(options_.scheduler, &pool, num_workers_, AllTasks(m),
-                 [&](uint32_t t) {
-                   map_status[t] = internal::RunTaskWithRetry(
-                       options_, &result.metrics.map_tasks[t], [&, t] {
-                         return RunMapTask(spec, input_partitions[t], m, r,
-                                           t, &buckets[t],
-                                           &result.metrics.map_tasks[t]);
-                       });
-                 });
-    result.metrics.map_phase_nanos = map_watch.ElapsedNanos();
-    for (uint32_t t = 0; t < m; ++t) {
-      if (!map_status[t].ok()) {
-        result.status = map_status[t];
-        return result;
-      }
+  void RunOnFileStore(const Spec& spec, const SpecInput<Spec>& input,
+                      SpecResult<Spec>* result) const {
+    const bool multi_process = options_.mode == ExecutionMode::kMultiProcess;
+    // The multi-process path additionally ships reduce outputs through
+    // spill files, so the output types must be spillable too.
+    constexpr bool kMultiProcessJob = Spillable<typename Spec::OutKey> &&
+                                      Spillable<typename Spec::OutValue>;
+    if constexpr (!kMultiProcessJob) {
+      ERLB_CHECK(!multi_process)
+          << "ExecutionMode::kMultiProcess requires SpillCodec "
+             "specializations for the intermediate AND output key/value "
+             "types (reduce outputs cross the process boundary as spill "
+             "runs)";
     }
-
-    // ---- Reduce phase ---------------------------------------------------
-    // Each reduce task owns (and consumes) its column of runs, so the
-    // mutable access to `buckets` is race-free.
-    std::vector<Status> reduce_status(r);
-    Stopwatch reduce_watch;
-    RunTaskPhase(options_.scheduler, &pool, num_workers_, AllTasks(r),
-                 [&](uint32_t t) {
-                   reduce_status[t] = RunReduceTaskWithRetry(
-                       spec, &buckets, m, r, t,
-                       &result.outputs_per_reduce_task[t],
-                       &result.metrics.reduce_tasks[t]);
-                 });
-    result.metrics.reduce_phase_nanos = reduce_watch.ElapsedNanos();
-    result.metrics.total_duration_nanos = job_watch.ElapsedNanos();
-    for (uint32_t t = 0; t < r; ++t) {
-      if (!reduce_status[t].ok()) {
-        result.status = reduce_status[t];
-        return result;
-      }
-    }
-
-    MergeTaskCounters(&result.metrics);
-    return result;
-  }
-
-  // ---- External (out-of-core) path --------------------------------------
-
-  template <typename Spec>
-  JobResult<typename Spec::OutKey, typename Spec::OutValue> RunExternal(
-      const Spec& spec, const SpecInput<Spec>& input_partitions) const {
-    using OutK = typename Spec::OutKey;
-    using OutV = typename Spec::OutValue;
-
-    const uint32_t m = static_cast<uint32_t>(input_partitions.size());
-    const uint32_t r = spec.num_reduce_tasks;
-
-    JobResult<OutK, OutV> result;
-    result.metrics.external = true;
-    result.metrics.map_tasks.resize(m);
-    result.metrics.reduce_tasks.resize(r);
-    result.outputs_per_reduce_task.resize(r);
-
-    // Without checkpointing the spill directory lives exactly as long as
-    // this Run: the scoped dir removes it (and every spill file) on
-    // success and error paths alike. With a checkpoint dir configured,
-    // spills are durable under <checkpoint.dir>/job-<seq> and survive the
-    // process — a restarted job with the same input resumes from them.
-    std::optional<ScopedTempDir> scoped_dir;
-    std::unique_ptr<JobCheckpoint> checkpoint;
-    std::string spill_dir;
-    if (!options_.checkpoint.dir.empty()) {
-      result.metrics.checkpointed = true;
-      const uint32_t seq =
-          checkpoint_seq_.fetch_add(1, std::memory_order_relaxed);
-      spill_dir = options_.checkpoint.dir + "/job-" + std::to_string(seq);
-      auto cp = JobCheckpoint::Open(
-          spill_dir,
-          ComputeInputSignature<Spec>(input_partitions, r,
-                                      options_.checkpoint.identity),
-          m, r, options_.checkpoint.resume);
-      if (!cp.ok()) {
-        result.status = cp.status();
-        return result;
-      }
-      checkpoint = std::move(*cp);
-    } else {
-      auto dir = ScopedTempDir::Make(options_.temp_dir, "erlb-spill");
-      if (!dir.ok()) {
-        result.status = dir.status();
-        return result;
-      }
-      scoped_dir.emplace(std::move(*dir));
-      spill_dir = scoped_dir->path();
-    }
-
-    Stopwatch job_watch;
-    std::optional<ThreadPool> owned_pool;
-    ThreadPool& pool = shared_pool_ != nullptr
-                           ? *shared_pool_
-                           : owned_pool.emplace(num_workers_);
-
-    // ---- Map phase: sort, partition, spill ------------------------------
-    std::vector<SpillFile> spill_files(m);
-    std::vector<Status> map_status(m);
-    Stopwatch map_watch;
-    std::vector<uint32_t> pending_maps;
-    pending_maps.reserve(m);
-    for (uint32_t t = 0; t < m; ++t) {
-      if (checkpoint != nullptr && checkpoint->IsMapTaskDone(t)) {
-        // Committed by a previous process: restore the extents, the
-        // task's recorded metrics (counters included), and any durable
-        // side output instead of re-executing — this is what keeps a
-        // resumed job's aggregate counters and side effects
-        // byte-identical to an uninterrupted run. A task whose side
-        // bytes are missing or corrupt falls through and re-executes.
-        bool restored = true;
-        if (spec.decode_side_output) {
-          auto side_bytes = checkpoint->CompletedSideOutput(t);
-          restored = side_bytes.ok() &&
-                     spec.decode_side_output(t, *side_bytes);
-        }
-        if (restored) {
-          spill_files[t] = checkpoint->CompletedSpill(t);
-          result.metrics.map_tasks[t] = checkpoint->CompletedMetrics(t);
-          ++result.metrics.map_tasks_resumed;
-          continue;
-        }
-      }
-      pending_maps.push_back(t);
-    }
-    RunTaskPhase(options_.scheduler, &pool, num_workers_, pending_maps,
-                 [&](uint32_t t) {
-                   map_status[t] = internal::RunTaskWithRetry(
-                       options_, &result.metrics.map_tasks[t], [&, t] {
-                         return RunMapTaskExternal(
-                             spec, input_partitions[t], m, r, t, spill_dir,
-                             checkpoint.get(), &spill_files[t],
-                             &result.metrics.map_tasks[t]);
-                       });
-                 });
-    result.metrics.map_phase_nanos = map_watch.ElapsedNanos();
-    for (uint32_t t = 0; t < m; ++t) {
-      if (!map_status[t].ok()) {
-        result.status = map_status[t];
-        return result;
-      }
-      result.metrics.spill_bytes_written +=
-          result.metrics.map_tasks[t].spill_bytes;
-    }
-
-    // ---- Reduce phase: stream the k-way merge over file cursors ---------
-    std::vector<Status> reduce_status(r);
-    Stopwatch reduce_watch;
-    RunTaskPhase(options_.scheduler, &pool, num_workers_, AllTasks(r),
-                 [&](uint32_t t) {
-                   reduce_status[t] = internal::RunTaskWithRetry(
-                       options_, &result.metrics.reduce_tasks[t], [&, t] {
-                         return RunReduceTaskExternal(
-                             spec, spill_files, m, r, t,
-                             &result.outputs_per_reduce_task[t],
-                             &result.metrics.reduce_tasks[t]);
-                       });
-                 });
-    result.metrics.reduce_phase_nanos = reduce_watch.ElapsedNanos();
-    result.metrics.total_duration_nanos = job_watch.ElapsedNanos();
-    for (uint32_t t = 0; t < r; ++t) {
-      if (!reduce_status[t].ok()) {
-        result.status = reduce_status[t];
-        return result;
-      }
-    }
-
-    MergeTaskCounters(&result.metrics);
-    return result;
-  }
-
-  // ---- Multi-process (shared-nothing) path ------------------------------
-  //
-  // The same two phases as RunExternal, but sharded across forked worker
-  // processes by a proc::Coordinator instead of pool threads. All data
-  // crosses the process boundary through the shared job directory:
-  //
-  //   map task t    -> spill-<t>.run (+ side-<t>.dat) + map-<t>.done
-  //   reduce task t -> out-<t>.run               + reduce-<t>.done
-  //
-  // Workers inherit the job spec and input copy-on-write at fork time;
-  // the only parent state created *after* the fork that workers need —
-  // the map phase's spill extents — travels in the reduce ASSIGN payload.
-  // The parent trusts nothing a worker says: DONE merely prompts it to
-  // read the task's commit record back from disk (signature + per-run
-  // checksum validation), which is also exactly how it adopts work left
-  // behind by a worker that died after committing.
-
-  template <typename Spec>
-  JobResult<typename Spec::OutKey, typename Spec::OutValue> RunMultiProcess(
-      const Spec& spec, const SpecInput<Spec>& input_partitions) const {
-    using OutK = typename Spec::OutKey;
-    using OutV = typename Spec::OutValue;
-
-    const uint32_t m = static_cast<uint32_t>(input_partitions.size());
-    const uint32_t r = spec.num_reduce_tasks;
-
-    JobResult<OutK, OutV> result;
-    result.metrics.external = true;
-    result.metrics.multi_process = true;
-    result.metrics.map_tasks.resize(m);
-    result.metrics.reduce_tasks.resize(r);
-    result.outputs_per_reduce_task.resize(r);
-
     const bool durable = !options_.checkpoint.dir.empty();
+    result->metrics.external = true;
+    result->metrics.multi_process = multi_process;
+    result->metrics.checkpointed = durable;
+
+    FileRunStoreOptions store_options;
+    store_options.io_buffer_bytes = options_.io_buffer_bytes;
+    store_options.fail_writer_after_bytes = options_.fail_writer_after_bytes;
+    store_options.commit = durable || multi_process;
+    store_options.durable = durable;
     std::optional<ScopedTempDir> scoped_dir;
-    std::string job_dir;
     if (durable) {
-      // Same per-runner job-<seq> scheme as RunExternal, but committed
-      // state lives in per-task .done sidecars instead of one manifest —
-      // worker processes cannot share a rewritten manifest without races.
-      result.metrics.checkpointed = true;
       const uint32_t seq =
           checkpoint_seq_.fetch_add(1, std::memory_order_relaxed);
-      job_dir = options_.checkpoint.dir + "/job-" + std::to_string(seq);
-      Status made = internal::EnsureDirectory(job_dir);
-      if (!made.ok()) {
-        result.status = made;
-        return result;
-      }
+      store_options.dir =
+          options_.checkpoint.dir + "/job-" + std::to_string(seq);
+      result->status = internal::EnsureDirectory(store_options.dir);
     } else {
       auto dir = ScopedTempDir::Make(options_.temp_dir, "erlb-spill");
-      if (!dir.ok()) {
-        result.status = dir.status();
-        return result;
+      result->status = dir.status();
+      if (dir.ok()) {
+        store_options.dir = scoped_dir.emplace(std::move(*dir)).path();
       }
-      scoped_dir.emplace(std::move(*dir));
-      job_dir = scoped_dir->path();
-      // The parent's claim keeps a concurrent SweepStaleTempDirs from
-      // reaping the dir; each worker adds its own per-pid claim on first
-      // task so the protection also covers parent-death windows.
-      static_cast<void>(ClaimTempDirForPid(job_dir));
     }
+    if (!result->status.ok()) return;
+    if (store_options.commit) {
+      store_options.signature = ComputeInputSignature<Spec>(
+          input, spec.num_reduce_tasks, options_.checkpoint.identity);
+    }
+    FileRunStore<typename Spec::MidKey, typename Spec::MidValue> store(
+        std::move(store_options), static_cast<uint32_t>(input.size()),
+        spec.num_reduce_tasks);
+    const bool resume = durable && options_.checkpoint.resume;
+    if constexpr (kMultiProcessJob) {
+      if (multi_process) {
+        RunMultiProcess(spec, input, &store, durable, resume, result);
+        return;
+      }
+    }
+    RunThreaded(spec, input, &store, resume, result);
+  }
 
-    const uint64_t signature = ComputeInputSignature<Spec>(
-        input_partitions, r, options_.checkpoint.identity);
+  /// Threaded driver for every single-process mode: the map phase over
+  /// the tasks `store` cannot restore from a previous process, a
+  /// barrier, then the reduce phase, each on the work-stealing scheduler.
+  template <typename Spec, typename Store>
+  void RunThreaded(const Spec& spec, const SpecInput<Spec>& input,
+                   Store* store, bool resume,
+                   SpecResult<Spec>* result) const {
+    const auto m = static_cast<uint32_t>(input.size());
+    const uint32_t r = spec.num_reduce_tasks;
+    JobMetrics& metrics = result->metrics;
+    Stopwatch job_watch;
+    std::optional<ThreadPool> owned_pool;
+    ThreadPool& pool = shared_pool_ != nullptr
+                           ? *shared_pool_
+                           : owned_pool.emplace(num_workers_);
 
-    // Parent-side shuffle state, filled by map-phase try_collect. The
-    // coordinator event loop is single-threaded, so the closures below
-    // mutate `result` and `spill_files` without locking.
-    std::vector<SpillFile> spill_files(m);
+    // Tasks committed by a previous process are restored (extents,
+    // metrics, side output) instead of re-executed — what keeps a
+    // resumed job's counters and side effects byte-identical to an
+    // uninterrupted run.
+    std::vector<uint32_t> pending_maps;
+    for (uint32_t t = 0; t < m; ++t) {
+      if (resume && store->CollectMapTask(t, spec.decode_side_output,
+                                          &metrics.map_tasks[t])) {
+        metrics.map_tasks[t].resumed = true;
+        ++metrics.map_tasks_resumed;
+      } else {
+        pending_maps.push_back(t);
+      }
+    }
+    std::vector<Status> map_status(m);
+    Stopwatch map_watch;
+    WorkStealingScheduler(std::move(pending_maps), num_workers_)
+        .Run(&pool, [&](uint32_t t) {
+          map_status[t] = internal::RunTaskWithRetry(
+              options_, &metrics.map_tasks[t], [&, t] {
+                return RunMapTask(spec, input[t], m, r, t, store,
+                                  &metrics.map_tasks[t]);
+              });
+        });
+    metrics.map_phase_nanos = map_watch.ElapsedNanos();
+    if (!FirstError(map_status, &result->status)) return;
 
+    std::vector<Status> reduce_status(r);
+    std::vector<uint32_t> reduces(r);
+    for (uint32_t t = 0; t < r; ++t) reduces[t] = t;
+    Stopwatch reduce_watch;
+    WorkStealingScheduler(std::move(reduces), num_workers_)
+        .Run(&pool, [&](uint32_t t) {
+          reduce_status[t] = internal::RunTaskWithRetry(
+              options_, &metrics.reduce_tasks[t], [&, t] {
+                return RunReduceTask(spec, store, m, r, t,
+                                     &result->outputs_per_reduce_task[t],
+                                     &metrics.reduce_tasks[t]);
+              });
+        });
+    metrics.reduce_phase_nanos = reduce_watch.ElapsedNanos();
+    metrics.total_duration_nanos = job_watch.ElapsedNanos();
+    if (!FirstError(reduce_status, &result->status)) return;
+    MergeTaskMetrics(&metrics);
+  }
+
+  /// Shared-nothing driver: the same two task bodies, sharded across
+  /// forked worker processes by a proc::Coordinator instead of pool
+  /// threads. Workers inherit the spec, input and store copy-on-write;
+  /// every result crosses back through the store's commit records, which
+  /// the parent re-reads and validates (try_collect) — also exactly how
+  /// it adopts work left behind by a worker that died after committing.
+  template <typename Spec, typename Store>
+  void RunMultiProcess(const Spec& spec, const SpecInput<Spec>& input,
+                       Store* store, bool durable, bool resume,
+                       SpecResult<Spec>* result) const {
+    using OutK = typename Spec::OutKey;
+    using OutV = typename Spec::OutValue;
+    const auto m = static_cast<uint32_t>(input.size());
+    const uint32_t r = spec.num_reduce_tasks;
+    JobMetrics& metrics = result->metrics;
+    // The claims keep a concurrent SweepStaleTempDirs from reaping a
+    // scoped job dir: the parent's here, each worker's on every task, so
+    // the protection also covers parent-death windows.
+    const std::string& dir = store->dir();
+    auto claim = [&] {
+      if (!durable) static_cast<void>(ClaimTempDirForPid(dir));
+    };
+    claim();
+    // Task closures run in the workers; collection runs in the parent's
+    // single-threaded event loop, so it mutates `metrics` unlocked.
     std::vector<proc::TaskPhase> phases(2);
-
     proc::TaskPhase& map_phase = phases[0];
     map_phase.name = "map";
     map_phase.num_tasks = m;
     map_phase.run = [&](uint32_t t, const std::string&) -> Status {
-      if (!durable) static_cast<void>(ClaimTempDirForPid(job_dir));
-      return RunMapTaskMultiProcess(spec, input_partitions[t], m, r, t,
-                                    job_dir, signature, durable);
+      claim();
+      TaskMetrics task_metrics;
+      return internal::RunTaskWithRetry(options_, &task_metrics, [&] {
+        return RunMapTask(spec, input[t], m, r, t, store, &task_metrics);
+      });
     };
-    map_phase.try_collect = [&](uint32_t t, bool adopted) -> bool {
-      auto record = ReadTaskCommitRecord(job_dir, "map", t, signature,
-                                         /*expected_runs=*/r,
-                                         options_.io_buffer_bytes);
-      if (!record.ok()) return false;
-      if (spec.decode_side_output) {
-        // Resuming a committed task must also replay its side output; a
-        // record without (valid) side bytes is treated as uncommitted.
-        if (record->side.path.empty()) return false;
-        auto side_bytes = ReadSideOutputFile(record->side);
-        if (!side_bytes.ok() || !spec.decode_side_output(t, *side_bytes)) {
-          return false;
-        }
+    map_phase.try_collect = [&](uint32_t t, bool adopted) {
+      TaskMetrics& task = metrics.map_tasks[t];
+      if (!store->CollectMapTask(t, spec.decode_side_output, &task)) {
+        return false;
       }
-      spill_files[t] = record->file;
-      result.metrics.map_tasks[t] = record->metrics;
-      if (adopted) {
-        result.metrics.map_tasks[t].resumed = true;
-        ++result.metrics.map_tasks_resumed;
-      }
+      task.resumed = adopted;
+      metrics.map_tasks_resumed += adopted ? 1 : 0;
       return true;
     };
-
     proc::TaskPhase& reduce_phase = phases[1];
     reduce_phase.name = "reduce";
     reduce_phase.num_tasks = r;
-    // Workers were forked before the map phase ran, so their images
-    // predate `spill_files`; each reduce assignment carries the extent
-    // of its run in every map task's spill file.
-    reduce_phase.assignment_payload = [&](uint32_t t) -> std::string {
-      std::string payload;
-      proc::PutU32(m, &payload);
-      for (uint32_t mt = 0; mt < m; ++mt) {
-        const RunExtent& extent = spill_files[mt].runs[t];
-        proc::PutU64(extent.offset, &payload);
-        proc::PutU64(extent.bytes, &payload);
-        proc::PutU64(extent.records, &payload);
-      }
-      return payload;
+    reduce_phase.assignment_payload = [&](uint32_t t) {
+      return store->ReduceAssignment(t);
     };
-    reduce_phase.run = [&](uint32_t t,
-                           const std::string& payload) -> Status {
-      if (!durable) static_cast<void>(ClaimTempDirForPid(job_dir));
-      return RunReduceTaskMultiProcess(spec, job_dir, signature, durable, m,
-                                       r, t, payload);
+    reduce_phase.run = [&](uint32_t t, const std::string& payload) -> Status {
+      claim();
+      ERLB_RETURN_NOT_OK(store->AdoptReduceAssignment(t, payload));
+      TaskMetrics task_metrics;
+      return internal::RunTaskWithRetry(
+          options_, &task_metrics, [&]() -> Status {
+            SpecOutput<Spec> output;
+            ERLB_RETURN_NOT_OK(
+                RunReduceTask(spec, store, m, r, t, &output, &task_metrics));
+            return store->CommitReduceOutput(t, output, task_metrics);
+          });
     };
-    reduce_phase.try_collect = [&](uint32_t t, bool adopted) -> bool {
-      auto record = ReadTaskCommitRecord(job_dir, "reduce", t, signature,
-                                         /*expected_runs=*/1,
-                                         options_.io_buffer_bytes);
-      if (!record.ok()) return false;
-      const RunExtent& extent = record->file.runs[0];
-      std::vector<std::pair<OutK, OutV>> output;
-      output.reserve(static_cast<size_t>(extent.records));
-      RunCursor<OutK, OutV> cursor;
-      size_t buffer = static_cast<size_t>(std::min<uint64_t>(
-          std::max<uint64_t>(extent.bytes, 1), options_.io_buffer_bytes));
-      if (!cursor.Open(record->file.path, extent, buffer).ok()) {
+    reduce_phase.try_collect = [&](uint32_t t, bool adopted) {
+      TaskMetrics& task = metrics.reduce_tasks[t];
+      if (!store->template CollectReduceOutput<OutK, OutV>(
+              t, &result->outputs_per_reduce_task[t], &task)) {
         return false;
       }
-      while (!cursor.exhausted()) output.push_back(cursor.Pop());
-      if (!cursor.status().ok()) return false;
-      result.outputs_per_reduce_task[t] = std::move(output);
-      result.metrics.reduce_tasks[t] = record->metrics;
-      if (adopted) {
-        result.metrics.reduce_tasks[t].resumed = true;
-        ++result.metrics.reduce_tasks_resumed;
-      }
+      task.resumed = adopted;
+      metrics.reduce_tasks_resumed += adopted ? 1 : 0;
       return true;
     };
 
     proc::CoordinatorOptions coord_options;
-    coord_options.num_workers = std::max<uint32_t>(
-        1, options_.num_worker_processes > 0
-               ? options_.num_worker_processes
-               : static_cast<uint32_t>(num_workers_));
-    coord_options.collect_existing = durable && options_.checkpoint.resume;
+    coord_options.num_workers = options_.num_worker_processes;
+    coord_options.collect_existing = resume;
     coord_options.max_task_failovers =
         std::max<uint32_t>(1, options_.max_task_attempts) + 2;
-
     Stopwatch job_watch;
     proc::Coordinator coordinator(coord_options);
-    Status run_status = coordinator.Run(phases);
-    result.metrics.total_duration_nanos = job_watch.ElapsedNanos();
+    result->status = coordinator.Run(phases);
+    metrics.total_duration_nanos = job_watch.ElapsedNanos();
 
-    const proc::CoordinatorStats coord_stats = coordinator.stats();
-    result.metrics.worker_processes = coord_stats.workers_spawned;
-    result.metrics.worker_deaths = coord_stats.worker_deaths;
-    if (coord_stats.phases.size() == 2) {
-      result.metrics.map_phase_nanos = coord_stats.phases[0].duration_nanos;
-      result.metrics.reduce_phase_nanos =
-          coord_stats.phases[1].duration_nanos;
+    const proc::CoordinatorStats stats = coordinator.stats();
+    metrics.worker_processes = stats.workers_spawned;
+    metrics.worker_deaths = stats.worker_deaths;
+    if (stats.phases.size() == 2) {
+      metrics.map_phase_nanos = stats.phases[0].duration_nanos;
+      metrics.reduce_phase_nanos = stats.phases[1].duration_nanos;
     }
-    if (!run_status.ok()) {
-      result.status = run_status;
-      return result;
-    }
-    for (uint32_t t = 0; t < m; ++t) {
-      result.metrics.spill_bytes_written +=
-          result.metrics.map_tasks[t].spill_bytes;
-    }
-    MergeTaskCounters(&result.metrics);
-    return result;
+    if (result->status.ok()) MergeTaskMetrics(&metrics);
   }
 
-  /// Worker-side map task: RunMapTaskExternal's sort/partition/spill
-  /// with the manifest checkpoint replaced by a per-task commit record.
-  /// Retries happen inside the worker (same policy as the threaded
-  /// paths); the commit record is the last write of a successful attempt.
-  template <typename Spec>
-  [[nodiscard]] Status RunMapTaskMultiProcess(
-      const Spec& spec,
-      const std::vector<std::pair<typename Spec::InKey,
-                                  typename Spec::InValue>>& partition,
-      uint32_t m, uint32_t r, uint32_t task_index,
-      const std::string& job_dir, uint64_t signature, bool durable) const {
-    using MidK = typename Spec::MidKey;
-    using MidV = typename Spec::MidValue;
-    TaskMetrics metrics;
-    return internal::RunTaskWithRetry(options_, &metrics, [&]() -> Status {
-      ERLB_RETURN_NOT_OK(internal::MapTaskFaultPoint());
-      Stopwatch watch;
-      auto final_out =
-          MapSortCombine(spec, partition, m, r, task_index, &metrics);
-
-      std::vector<uint32_t> dest;
-      std::vector<size_t> run_offsets;
-      PartitionRecords(spec, final_out, r, &dest, &run_offsets);
-      const size_t n_out = final_out.size();
-      std::vector<size_t> order(n_out);
-      std::vector<size_t> fill(run_offsets.begin(), run_offsets.end() - 1);
-      for (size_t i = 0; i < n_out; ++i) {
-        order[fill[dest[i]]++] = i;
+  /// Copies the first failed task's status (in task order) into `out`;
+  /// false iff there was one.
+  static bool FirstError(const std::vector<Status>& statuses, Status* out) {
+    for (const Status& s : statuses) {
+      if (!s.ok()) {
+        *out = s;
+        return false;
       }
-
-      // Data files are always staged under a pid temp name and renamed:
-      // the .done record is the commit point, and it must never name a
-      // half-written file.
-      const std::string final_path = SpillFilePath(job_dir, task_index);
-      const std::string write_path = internal::PidTempPath(final_path);
-      SpillFileWriter<MidK, MidV> writer;
-      ERLB_RETURN_NOT_OK(writer.Open(write_path, options_.io_buffer_bytes,
-                                     options_.fail_writer_after_bytes));
-      for (uint32_t p = 0; p < r; ++p) {
-        ERLB_RETURN_NOT_OK(writer.BeginRun());
-        for (size_t i = run_offsets[p]; i < run_offsets[p + 1]; ++i) {
-          const auto& rec = final_out[order[i]];
-          ERLB_RETURN_NOT_OK(writer.Append(rec.first, rec.second));
-        }
-      }
-      TaskCommitRecord record;
-      ERLB_ASSIGN_OR_RETURN(record.file, writer.Finish(/*sync=*/durable));
-      record.file.path = final_path;
-      ERLB_RETURN_NOT_OK(internal::PublishFile(write_path, final_path));
-
-      if (spec.encode_side_output) {
-        std::string side_bytes = spec.encode_side_output(task_index);
-        record.side.path =
-            job_dir + "/side-" + std::to_string(task_index) + ".dat";
-        record.side.bytes = side_bytes.size();
-        record.side.checksum =
-            Fnv1aHash(side_bytes.data(), side_bytes.size());
-        const std::string side_tmp = internal::PidTempPath(record.side.path);
-        BufferedFileWriter side_writer;
-        ERLB_RETURN_NOT_OK(
-            side_writer.Open(side_tmp, options_.io_buffer_bytes));
-        ERLB_RETURN_NOT_OK(
-            side_writer.Append(side_bytes.data(), side_bytes.size()));
-        if (durable) ERLB_RETURN_NOT_OK(side_writer.Sync());
-        ERLB_RETURN_NOT_OK(side_writer.Close());
-        ERLB_RETURN_NOT_OK(
-            internal::PublishFile(side_tmp, record.side.path));
-      }
-
-      metrics.task_index = task_index;
-      metrics.spill_bytes = static_cast<int64_t>(record.file.TotalBytes());
-      metrics.duration_nanos = watch.ElapsedNanos();
-      record.metrics = metrics;
-      return WriteTaskCommitRecord(job_dir, "map", task_index, signature,
-                                   record, durable);
-    });
+    }
+    return true;
   }
 
-  /// Worker-side reduce task: decode the extent table shipped in the
-  /// ASSIGN payload, stream the loser-tree merge over every map task's
-  /// run (RunReduceTaskExternal, unchanged), then publish the output as
-  /// a single-run spill file + commit record.
-  template <typename Spec>
-  [[nodiscard]] Status RunReduceTaskMultiProcess(
-      const Spec& spec, const std::string& job_dir, uint64_t signature,
-      bool durable, uint32_t m, uint32_t r, uint32_t task_index,
-      const std::string& payload) const {
-    using OutK = typename Spec::OutKey;
-    using OutV = typename Spec::OutValue;
-
-    proc::PayloadReader reader(payload);
-    uint32_t payload_m = 0;
-    if (!reader.GetU32(&payload_m) || payload_m != m) {
-      return Status::Internal("reduce assignment payload does not match "
-                              "the job shape");
-    }
-    std::vector<SpillFile> spill_files(m);
-    for (uint32_t mt = 0; mt < m; ++mt) {
-      spill_files[mt].path = SpillFilePath(job_dir, mt);
-      spill_files[mt].runs.resize(r);
-      RunExtent& extent = spill_files[mt].runs[task_index];
-      if (!reader.GetU64(&extent.offset) || !reader.GetU64(&extent.bytes) ||
-          !reader.GetU64(&extent.records)) {
-        return Status::Internal("truncated reduce assignment payload");
-      }
-    }
-    if (!reader.AtEnd()) {
-      return Status::Internal("oversized reduce assignment payload");
-    }
-
-    TaskMetrics metrics;
-    return internal::RunTaskWithRetry(options_, &metrics, [&]() -> Status {
-      std::vector<std::pair<OutK, OutV>> output;
-      ERLB_RETURN_NOT_OK(RunReduceTaskExternal(spec, spill_files, m, r,
-                                               task_index, &output,
-                                               &metrics));
-      const std::string final_path =
-          job_dir + "/out-" + std::to_string(task_index) + ".run";
-      const std::string write_path = internal::PidTempPath(final_path);
-      SpillFileWriter<OutK, OutV> writer;
-      ERLB_RETURN_NOT_OK(writer.Open(write_path, options_.io_buffer_bytes));
-      ERLB_RETURN_NOT_OK(writer.BeginRun());
-      for (const auto& [key, value] : output) {
-        ERLB_RETURN_NOT_OK(writer.Append(key, value));
-      }
-      TaskCommitRecord record;
-      ERLB_ASSIGN_OR_RETURN(record.file, writer.Finish(/*sync=*/durable));
-      record.file.path = final_path;
-      ERLB_RETURN_NOT_OK(internal::PublishFile(write_path, final_path));
-      record.metrics = metrics;
-      record.metrics.task_index = task_index;
-      return WriteTaskCommitRecord(job_dir, "reduce", task_index, signature,
-                                   record, durable);
-    });
-  }
-
-  static void MergeTaskCounters(JobMetrics* metrics) {
+  /// Folds per-task counters, retries and spill bytes into the job.
+  static void MergeTaskMetrics(JobMetrics* metrics) {
     for (const auto& tm : metrics->map_tasks) {
       metrics->counters.Merge(tm.counters);
       metrics->task_retries += std::max<int64_t>(0, tm.attempts - 1);
+      metrics->spill_bytes_written += tm.spill_bytes;
     }
     for (const auto& tm : metrics->reduce_tasks) {
       metrics->counters.Merge(tm.counters);
@@ -1087,7 +778,7 @@ class JobRunner {
     }
   }
 
-  /// Cheap input-identity fingerprint for the checkpoint manifest: job
+  /// Cheap input-identity fingerprint stamped into commit records: job
   /// shape (m, r), the caller-supplied identity string, every partition's
   /// record count, and — when the input types are spillable — the encoded
   /// first and last record of each partition. Collisions only matter if
@@ -1120,10 +811,12 @@ class JobRunner {
     return h;
   }
 
-  /// Shared map-task front half: run the mapper over the partition,
-  /// stable-sort the output by comp (one "spill"), apply the optional
-  /// combiner. Fills every metric except duration/spill_bytes and returns
-  /// the task's final sorted output.
+  // ---- Task bodies ------------------------------------------------------
+
+  /// Map front half: run the mapper over the partition, stable-sort the
+  /// output by comp (one "spill"), apply the optional combiner. Fills
+  /// every metric except duration/spill_bytes and returns the task's
+  /// final sorted output.
   template <typename Spec>
   static std::vector<
       std::pair<typename Spec::MidKey, typename Spec::MidValue>>
@@ -1208,273 +901,74 @@ class JobRunner {
     }
   }
 
-  template <typename Spec>
+  /// The map-task body of every mode: map → stable sort (+ combine) →
+  /// partition into r sorted runs → hand them to the store → commit.
+  /// Self-contained per attempt: the store overwrites the task's runs.
+  template <typename Spec, typename Store>
   [[nodiscard]] static Status RunMapTask(
       const Spec& spec,
       const std::vector<std::pair<typename Spec::InKey,
                                   typename Spec::InValue>>& partition,
-      uint32_t m, uint32_t r, uint32_t task_index,
-      std::vector<std::vector<
-          std::pair<typename Spec::MidKey, typename Spec::MidValue>>>*
-          out_buckets,
+      uint32_t m, uint32_t r, uint32_t task_index, Store* store,
       TaskMetrics* metrics) {
     ERLB_RETURN_NOT_OK(internal::MapTaskFaultPoint());
-    // Self-contained per attempt: a retry starts from empty runs.
-    for (auto& run : *out_buckets) run.clear();
     Stopwatch watch;
-    auto final_out =
-        MapSortCombine(spec, partition, m, r, task_index, metrics);
-
-    // Scatter: a counting pass sizes every run exactly, then pairs are
-    // moved (not copied) into their runs. Order is preserved, so each run
-    // stays sorted with emission order breaking ties.
+    auto records = MapSortCombine(spec, partition, m, r, task_index, metrics);
     std::vector<uint32_t> dest;
     std::vector<size_t> run_offsets;
-    PartitionRecords(spec, final_out, r, &dest, &run_offsets);
-    for (uint32_t p = 0; p < r; ++p) {
-      (*out_buckets)[p].reserve(run_offsets[p + 1] - run_offsets[p]);
-    }
-    for (size_t i = 0; i < final_out.size(); ++i) {
-      (*out_buckets)[dest[i]].push_back(std::move(final_out[i]));
-    }
+    PartitionRecords(spec, records, r, &dest, &run_offsets);
+    ERLB_RETURN_NOT_OK(
+        store->PutRuns(task_index, &records, dest, run_offsets, metrics));
     metrics->duration_nanos = watch.ElapsedNanos();
-    return Status::OK();
+    return store->CommitMapTask(task_index, spec.encode_side_output,
+                                *metrics);
   }
 
-  /// External map task: after sort/combine, writes the r runs to the
-  /// task's spill file (in reduce-task order, preserving emission order
-  /// within each run) instead of materializing them. With a checkpoint
-  /// the bytes go to `<file>.tmp`, are fsynced by Finish, and are
-  /// atomically published (rename + durable manifest) by CommitMapTask.
-  template <typename Spec>
-  [[nodiscard]] Status RunMapTaskExternal(
-      const Spec& spec,
-      const std::vector<std::pair<typename Spec::InKey,
-                                  typename Spec::InValue>>& partition,
-      uint32_t m, uint32_t r, uint32_t task_index,
-      const std::string& spill_dir, JobCheckpoint* checkpoint,
-      SpillFile* out_file, TaskMetrics* metrics) const {
+  /// The reduce-task body of every mode: stream the store's stable k-way
+  /// merge of this task's m runs, buffer one group at a time, reduce it.
+  /// Cross-run ties follow map-task order, so equal keys stay grouped by
+  /// origin map task (Hadoop merge contiguity; see the file comment).
+  template <typename Spec, typename Store>
+  [[nodiscard]] static Status RunReduceTask(const Spec& spec, Store* store,
+                                            uint32_t m, uint32_t r,
+                                            uint32_t task_index,
+                                            SpecOutput<Spec>* output,
+                                            TaskMetrics* metrics) {
     using MidK = typename Spec::MidKey;
     using MidV = typename Spec::MidValue;
-    ERLB_RETURN_NOT_OK(internal::MapTaskFaultPoint());
-    Stopwatch watch;
-    auto final_out =
-        MapSortCombine(spec, partition, m, r, task_index, metrics);
-
-    std::vector<uint32_t> dest;
-    std::vector<size_t> run_offsets;
-    PartitionRecords(spec, final_out, r, &dest, &run_offsets);
-
-    // Stable counting scatter into an index order: order[] lists record
-    // indexes grouped by run, preserving sorted order within each run.
-    const size_t n_out = final_out.size();
-    std::vector<size_t> order(n_out);
-    std::vector<size_t> fill(run_offsets.begin(), run_offsets.end() - 1);
-    for (size_t i = 0; i < n_out; ++i) {
-      order[fill[dest[i]]++] = i;
-    }
-
-    const std::string final_path = SpillFilePath(spill_dir, task_index);
-    const std::string write_path =
-        checkpoint != nullptr ? final_path + ".tmp" : final_path;
-    SpillFileWriter<MidK, MidV> writer;
-    ERLB_RETURN_NOT_OK(writer.Open(write_path, options_.io_buffer_bytes,
-                                   options_.fail_writer_after_bytes));
-    for (uint32_t p = 0; p < r; ++p) {
-      ERLB_RETURN_NOT_OK(writer.BeginRun());
-      for (size_t i = run_offsets[p]; i < run_offsets[p + 1]; ++i) {
-        const auto& rec = final_out[order[i]];
-        ERLB_RETURN_NOT_OK(writer.Append(rec.first, rec.second));
-      }
-    }
-    ERLB_ASSIGN_OR_RETURN(*out_file,
-                          writer.Finish(/*sync=*/checkpoint != nullptr));
-    metrics->spill_bytes = static_cast<int64_t>(out_file->TotalBytes());
-    metrics->duration_nanos = watch.ElapsedNanos();
-    if (checkpoint != nullptr) {
-      // Side output ("additional output" written outside the KV stream)
-      // is committed alongside the spill file so a resumed job can
-      // replay the side effect without re-executing the task.
-      std::string side_tmp;
-      SideOutputFile side;
-      if (spec.encode_side_output) {
-        std::string side_bytes = spec.encode_side_output(task_index);
-        side.path = spill_dir + "/side-" + std::to_string(task_index) +
-                    ".dat";
-        side.bytes = side_bytes.size();
-        side.checksum = Fnv1aHash(side_bytes.data(), side_bytes.size());
-        side_tmp = side.path + ".tmp";
-        BufferedFileWriter side_writer;
-        ERLB_RETURN_NOT_OK(
-            side_writer.Open(side_tmp, options_.io_buffer_bytes));
-        ERLB_RETURN_NOT_OK(
-            side_writer.Append(side_bytes.data(), side_bytes.size()));
-        ERLB_RETURN_NOT_OK(side_writer.Sync());
-        ERLB_RETURN_NOT_OK(side_writer.Close());
-      }
-      out_file->path = final_path;
-      ERLB_RETURN_NOT_OK(checkpoint->CommitMapTask(
-          task_index, write_path, *out_file, *metrics, side_tmp, side));
-    }
-    return Status::OK();
-  }
-
-  /// In-memory reduce task under the retry policy. The task's column of
-  /// runs is moved out of `buckets` once; when the options allow more
-  /// than one attempt, each attempt merges a copy so the inputs survive
-  /// a failed try (byte-identical re-execution).
-  template <typename Spec>
-  [[nodiscard]] Status RunReduceTaskWithRetry(
-      const Spec& spec,
-      std::vector<std::vector<std::vector<
-          std::pair<typename Spec::MidKey, typename Spec::MidValue>>>>*
-          buckets,
-      uint32_t m, uint32_t r, uint32_t task_index,
-      std::vector<std::pair<typename Spec::OutKey, typename Spec::OutValue>>*
-          output,
-      TaskMetrics* metrics) const {
-    using MidK = typename Spec::MidKey;
-    using MidV = typename Spec::MidValue;
-    std::vector<std::vector<std::pair<MidK, MidV>>> runs;
-    runs.reserve(m);
-    for (uint32_t mt = 0; mt < m; ++mt) {
-      runs.push_back(std::move((*buckets)[mt][task_index]));
-    }
-    const bool single_shot =
-        options_.max_task_attempts <= 1 && options_.task_attempt_timeout_ms == 0;
-    return internal::RunTaskWithRetry(options_, metrics, [&]() -> Status {
-      ERLB_RETURN_NOT_OK(internal::ReduceTaskFaultPoint());
-      RunReduceTask(spec, single_shot ? std::move(runs) : runs, m, r,
-                    task_index, output, metrics);
-      return Status::OK();
-    });
-  }
-
-  template <typename Spec>
-  static void RunReduceTask(
-      const Spec& spec,
-      std::vector<std::vector<
-          std::pair<typename Spec::MidKey, typename Spec::MidValue>>>
-          runs,
-      uint32_t m, uint32_t r, uint32_t task_index,
-      std::vector<std::pair<typename Spec::OutKey, typename Spec::OutValue>>*
-          output,
-      TaskMetrics* metrics) {
-    using MidK = typename Spec::MidKey;
-    using MidV = typename Spec::MidValue;
-    using OutK = typename Spec::OutKey;
-    using OutV = typename Spec::OutValue;
-    Stopwatch watch;
-    TaskContext ctx{m, r, task_index};
-    auto reducer = spec.reducer_factory(ctx);
-    ERLB_CHECK(reducer != nullptr);
-
-    // k-way merge this task's column of per-map-task runs (each sorted
-    // by comp), breaking cross-run ties on map-task index: equal keys
-    // remain grouped by origin map task (Hadoop merge contiguity; see
-    // file comment), and the sequence is identical to stable-sorting the
-    // concatenated runs.
-    std::vector<std::pair<MidK, MidV>> run = MergeSortedRuns(
-        std::span<std::vector<std::pair<MidK, MidV>>>(runs),
-        [&spec](const std::pair<MidK, MidV>& a,
-                const std::pair<MidK, MidV>& b) {
-          return spec.key_less(a.first, b.first);
-        });
-
-    internal::VectorReduceContext<OutK, OutV> red_ctx;
-    size_t i = 0;
-    int64_t groups = 0;
-    while (i < run.size()) {
-      size_t j = i + 1;
-      while (j < run.size() &&
-             spec.group_equal(run[i].first, run[j].first)) {
-        ++j;
-      }
-      reducer->Reduce(std::span<const std::pair<MidK, MidV>>(
-                          run.data() + i, j - i),
-                      &red_ctx);
-      ++groups;
-      i = j;
-    }
-    reducer->Close(&red_ctx);
-
-    metrics->task_index = task_index;
-    metrics->input_records = static_cast<int64_t>(run.size());
-    metrics->groups = groups;
-    metrics->output_records = static_cast<int64_t>(red_ctx.out().size());
-    metrics->counters = red_ctx.counters_ref();
-    metrics->duration_nanos = watch.ElapsedNanos();
-    *output = std::move(red_ctx.out());
-  }
-
-  /// External reduce task: opens a RunCursor on this task's run in every
-  /// map task's spill file and streams the loser-tree merge, buffering
-  /// only the current group. Cursor order follows map-task order, so
-  /// cross-run ties keep the same contiguity rule as the in-memory merge.
-  template <typename Spec>
-  [[nodiscard]] Status RunReduceTaskExternal(
-      const Spec& spec, const std::vector<SpillFile>& spill_files,
-      uint32_t m, uint32_t r, uint32_t task_index,
-      std::vector<std::pair<typename Spec::OutKey, typename Spec::OutValue>>*
-          output,
-      TaskMetrics* metrics) const {
-    using MidK = typename Spec::MidKey;
-    using MidV = typename Spec::MidValue;
-    using OutK = typename Spec::OutKey;
-    using OutV = typename Spec::OutValue;
+    using Record = std::pair<MidK, MidV>;
     ERLB_RETURN_NOT_OK(internal::ReduceTaskFaultPoint());
     Stopwatch watch;
     TaskContext ctx{m, r, task_index};
     auto reducer = spec.reducer_factory(ctx);
     ERLB_CHECK(reducer != nullptr);
 
-    // Empty runs are skipped up front (like MergeSortedRuns); dropping
-    // them preserves the relative order of the live cursors, so the
-    // tie-break still follows map-task order.
-    std::vector<RunCursor<MidK, MidV>> cursors;
-    cursors.reserve(m);
-    int64_t spill_bytes = 0;
-    for (uint32_t mt = 0; mt < m; ++mt) {
-      const RunExtent& extent = spill_files[mt].runs[task_index];
-      if (extent.records == 0) continue;
-      spill_bytes += static_cast<int64_t>(extent.bytes);
-      size_t buffer = static_cast<size_t>(std::min<uint64_t>(
-          std::max<uint64_t>(extent.bytes, 1), options_.io_buffer_bytes));
-      cursors.emplace_back();
-      ERLB_RETURN_NOT_OK(
-          cursors.back().Open(spill_files[mt].path, extent, buffer));
-    }
-
-    internal::VectorReduceContext<OutK, OutV> red_ctx;
-    std::vector<std::pair<MidK, MidV>> group;
+    internal::VectorReduceContext<typename Spec::OutKey,
+                                  typename Spec::OutValue>
+        red_ctx;
+    std::vector<Record> group;
     int64_t input_records = 0;
     int64_t groups = 0;
     auto flush_group = [&] {
-      reducer->Reduce(std::span<const std::pair<MidK, MidV>>(group.data(),
-                                                             group.size()),
+      reducer->Reduce(std::span<const Record>(group.data(), group.size()),
                       &red_ctx);
       ++groups;
       group.clear();
     };
-    LoserTreeMergeCursors(
-        std::span<RunCursor<MidK, MidV>>(cursors),
-        [&spec](const std::pair<MidK, MidV>& a,
-                const std::pair<MidK, MidV>& b) {
+    ERLB_RETURN_NOT_OK(store->MergeRuns(
+        task_index,
+        [&spec](const Record& a, const Record& b) {
           return spec.key_less(a.first, b.first);
         },
-        [&](std::pair<MidK, MidV>&& rec) {
+        [&](Record&& rec) {
           ++input_records;
           if (!group.empty() &&
               !spec.group_equal(group.front().first, rec.first)) {
             flush_group();
           }
           group.push_back(std::move(rec));
-        });
-    // A cursor that failed mid-stream looks exhausted to the merge; the
-    // job must fail, not silently reduce a truncated run.
-    for (const auto& c : cursors) {
-      ERLB_RETURN_NOT_OK(c.status());
-    }
+        },
+        metrics));
     if (!group.empty()) flush_group();
     reducer->Close(&red_ctx);
 
@@ -1483,7 +977,6 @@ class JobRunner {
     metrics->groups = groups;
     metrics->output_records = static_cast<int64_t>(red_ctx.out().size());
     metrics->counters = red_ctx.counters_ref();
-    metrics->spill_bytes = spill_bytes;
     metrics->duration_nanos = watch.ElapsedNanos();
     *output = std::move(red_ctx.out());
     return Status::OK();
@@ -1495,7 +988,7 @@ class JobRunner {
   /// Sequence number of checkpointed Run()s through this runner: job k
   /// checkpoints under `<checkpoint.dir>/job-<k>`. Jobs run sequentially
   /// in deterministic order, so a restarted process assigns the same
-  /// directory to the same job and finds its own manifest.
+  /// directory to the same job and finds its own commit records.
   mutable std::atomic<uint32_t> checkpoint_seq_{0};
 };
 

@@ -49,9 +49,9 @@ struct JobMetrics {
   int64_t spill_bytes_written = 0;
   /// Total extra attempts across all tasks (sum of attempts - 1).
   int64_t task_retries = 0;
-  /// Map tasks skipped because a checkpoint manifest (or per-task commit
-  /// record) already held their committed spill output — including tasks
-  /// adopted from a dead worker process that committed before dying.
+  /// Map tasks skipped because a per-task commit record already held
+  /// their committed spill output — including tasks adopted from a dead
+  /// worker process that committed before dying.
   int64_t map_tasks_resumed = 0;
   /// Reduce tasks restored from committed output runs the same way
   /// (multi-process mode only; single-process reduce never checkpoints).

@@ -8,13 +8,15 @@
 #include <sstream>
 #include <utility>
 
+#include "common/fault.h"
 #include "common/hash.h"
 #include "common/io_buffer.h"
+#include "common/json.h"
 
 namespace erlb {
 namespace mr {
 
-namespace internal {
+namespace {
 
 void SyncDir(const std::string& dir) {
   // rename() persistence requires an fsync of the containing directory;
@@ -58,6 +60,10 @@ bool GetUint(const Json& obj, std::string_view key, uint64_t* out) {
   return true;
 }
 
+}  // namespace
+
+namespace internal {
+
 Status EnsureDirectory(const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -94,6 +100,18 @@ std::string RelativeTo(const std::string& dir, const std::string& path) {
   return path;
 }
 
+// Writes `bytes` to `path` via a pid temp name + rename.
+Status PublishBytes(const std::string& path, std::string_view bytes,
+                    bool durable) {
+  const std::string tmp_path = internal::PidTempPath(path);
+  BufferedFileWriter writer;
+  ERLB_RETURN_NOT_OK(writer.Open(tmp_path, size_t{1} << 14));
+  ERLB_RETURN_NOT_OK(writer.Append(bytes.data(), bytes.size()));
+  if (durable) ERLB_RETURN_NOT_OK(writer.Sync());
+  ERLB_RETURN_NOT_OK(writer.Close());
+  return internal::PublishFile(tmp_path, path);
+}
+
 }  // namespace
 
 std::string TaskCommitRecordPath(const std::string& dir,
@@ -105,13 +123,14 @@ std::string TaskCommitRecordPath(const std::string& dir,
 Status WriteTaskCommitRecord(const std::string& dir, std::string_view kind,
                              uint32_t task, uint64_t signature,
                              const TaskCommitRecord& record, bool durable) {
+  ERLB_FAULT_POINT("checkpoint.commit");
   Json root{Json::Object{}};
   root.Add("version", Json(kRecordVersion));
   root.Add("signature", Json(signature));
   root.Add("kind", Json(std::string(kind)));
   root.Add("task", Json(task));
-  // Paths are stored relative to the job dir, like the manifest, so a
-  // checkpoint directory stays relocatable.
+  // Paths are stored relative to the job dir, so a checkpoint directory
+  // stays relocatable.
   root.Add("path", Json(RelativeTo(dir, record.file.path)));
   root.Add("input_records", Json(record.metrics.input_records));
   root.Add("output_records", Json(record.metrics.output_records));
@@ -119,7 +138,7 @@ Status WriteTaskCommitRecord(const std::string& dir, std::string_view kind,
   root.Add("duration_nanos", Json(record.metrics.duration_nanos));
   root.Add("spill_bytes", Json(record.metrics.spill_bytes));
   root.Add("attempts", Json(record.metrics.attempts));
-  root.Add("counters", internal::CountersToJson(record.metrics.counters));
+  root.Add("counters", CountersToJson(record.metrics.counters));
   if (!record.side.path.empty()) {
     root.Add("side_path", Json(RelativeTo(dir, record.side.path)));
     root.Add("side_bytes", Json(record.side.bytes));
@@ -131,17 +150,9 @@ Status WriteTaskCommitRecord(const std::string& dir, std::string_view kind,
                                     Json(run.records)}));
   }
   root.Add("runs", Json(std::move(runs)));
-  const std::string text = root.Dump(2);
-
-  const std::string final_path = TaskCommitRecordPath(dir, kind, task);
-  const std::string tmp_path = internal::PidTempPath(final_path);
-  BufferedFileWriter writer;
-  ERLB_RETURN_NOT_OK(writer.Open(tmp_path, size_t{1} << 14));
-  ERLB_RETURN_NOT_OK(writer.Append(text.data(), text.size()));
-  if (durable) ERLB_RETURN_NOT_OK(writer.Sync());
-  ERLB_RETURN_NOT_OK(writer.Close());
-  ERLB_RETURN_NOT_OK(internal::PublishFile(tmp_path, final_path));
-  if (durable) internal::SyncDir(dir);
+  ERLB_RETURN_NOT_OK(PublishBytes(TaskCommitRecordPath(dir, kind, task),
+                                  root.Dump(2), durable));
+  if (durable) SyncDir(dir);
   return Status::OK();
 }
 
@@ -151,6 +162,7 @@ Result<TaskCommitRecord> ReadTaskCommitRecord(const std::string& dir,
                                               uint64_t signature,
                                               uint32_t expected_runs,
                                               size_t io_buffer_bytes) {
+  ERLB_FAULT_POINT("checkpoint.load");
   const std::string path = TaskCommitRecordPath(dir, kind, task);
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -168,12 +180,12 @@ Result<TaskCommitRecord> ReadTaskCommitRecord(const std::string& dir,
   uint64_t recorded_signature = 0;
   int64_t recorded_task = -1;
   const Json* recorded_kind = root.Find("kind");
-  if (!internal::GetInt(root, "version", &version) ||
+  if (!GetInt(root, "version", &version) ||
       version != kRecordVersion ||
-      !internal::GetUint(root, "signature", &recorded_signature) ||
+      !GetUint(root, "signature", &recorded_signature) ||
       recorded_signature != signature || recorded_kind == nullptr ||
       !recorded_kind->is_string() || recorded_kind->AsString() != kind ||
-      !internal::GetInt(root, "task", &recorded_task) ||
+      !GetInt(root, "task", &recorded_task) ||
       recorded_task != static_cast<int64_t>(task)) {
     return Status::IOError("commit record " + path +
                            " belongs to a different job or task");
@@ -201,21 +213,21 @@ Result<TaskCommitRecord> ReadTaskCommitRecord(const std::string& dir,
   TaskMetrics& tm = record.metrics;
   tm.task_index = task;
   const Json* counters = root.Find("counters");
-  if (!internal::GetInt(root, "input_records", &tm.input_records) ||
-      !internal::GetInt(root, "output_records", &tm.output_records) ||
-      !internal::GetInt(root, "groups", &tm.groups) ||
-      !internal::GetInt(root, "duration_nanos", &tm.duration_nanos) ||
-      !internal::GetInt(root, "spill_bytes", &tm.spill_bytes) ||
-      !internal::GetInt(root, "attempts", &tm.attempts) ||
+  if (!GetInt(root, "input_records", &tm.input_records) ||
+      !GetInt(root, "output_records", &tm.output_records) ||
+      !GetInt(root, "groups", &tm.groups) ||
+      !GetInt(root, "duration_nanos", &tm.duration_nanos) ||
+      !GetInt(root, "spill_bytes", &tm.spill_bytes) ||
+      !GetInt(root, "attempts", &tm.attempts) ||
       counters == nullptr ||
-      !internal::CountersFromJson(*counters, &tm.counters)) {
+      !CountersFromJson(*counters, &tm.counters)) {
     return Status::IOError("commit record " + path + " is malformed");
   }
   const Json* side_path = root.Find("side_path");
   if (side_path != nullptr) {
     if (!side_path->is_string() ||
-        !internal::GetUint(root, "side_bytes", &record.side.bytes) ||
-        !internal::GetUint(root, "side_checksum", &record.side.checksum)) {
+        !GetUint(root, "side_bytes", &record.side.bytes) ||
+        !GetUint(root, "side_checksum", &record.side.checksum)) {
       return Status::IOError("commit record " + path + " is malformed");
     }
     record.side.path = dir + "/" + side_path->AsString();
@@ -223,6 +235,47 @@ Result<TaskCommitRecord> ReadTaskCommitRecord(const std::string& dir,
   // The record is only as good as the bytes it points at.
   ERLB_RETURN_NOT_OK(VerifySpillFileFooters(record.file, io_buffer_bytes));
   return record;
+}
+
+Status VerifySpillFileFooters(const SpillFile& file,
+                              size_t io_buffer_bytes) {
+  BufferedFileReader reader;
+  ERLB_RETURN_NOT_OK(reader.Open(file.path, io_buffer_bytes));
+  uint64_t expected_offset = 0;
+  for (const RunExtent& run : file.runs) {
+    if (run.offset != expected_offset) {
+      return Status::IOError("committed run layout mismatch in " +
+                             file.path);
+    }
+    // Record counts drive allocations downstream (the reduce-output
+    // collector reserves one slot per record); a count no run of this
+    // size can hold is forged or corrupt.
+    if (run.records > run.bytes / sizeof(uint32_t)) {
+      return Status::IOError("committed run claims more records than its "
+                             "bytes can hold in " + file.path);
+    }
+    ERLB_RETURN_NOT_OK(reader.Seek(run.offset + run.bytes));
+    char buf[kRunFooterBytes];
+    ERLB_RETURN_NOT_OK(reader.ReadExact(buf, sizeof(buf)));
+    RunFooter footer;
+    if (!DecodeRunFooter(buf, &footer) || footer.records != run.records) {
+      return Status::IOError("committed run footer mismatch in " +
+                             file.path);
+    }
+    expected_offset = run.offset + run.bytes + kRunFooterBytes;
+  }
+  return Status::OK();
+}
+
+Result<SideOutputFile> WriteSideOutputFile(const std::string& path,
+                                           std::string_view bytes,
+                                           bool durable) {
+  ERLB_RETURN_NOT_OK(PublishBytes(path, bytes, durable));
+  SideOutputFile side;
+  side.path = path;
+  side.bytes = bytes.size();
+  side.checksum = Fnv1aHash(bytes.data(), bytes.size());
+  return side;
 }
 
 Result<std::string> ReadSideOutputFile(const SideOutputFile& side) {

@@ -1,24 +1,26 @@
-// Per-task commit records for the multi-process execution mode.
+// Per-task commit records: the one durable-state protocol of the MR
+// runtime, shared by checkpointed external jobs and multi-process jobs.
 //
-// Worker processes cannot share the single rewritten manifest.json of
-// JobCheckpoint without cross-process write races, so the multi-process
-// path commits each task independently:
+// A job directory holds, per committed task:
 //
 //   <dir>/spill-<t>.run    map task t's spill file    (tmp.<pid> + rename)
 //   <dir>/side-<t>.dat     task t's side output, when the spec has one
 //   <dir>/map-<t>.done     the commit record — written LAST
-//   <dir>/out-<t>.run      reduce task t's output run
+//   <dir>/out-<t>.run      reduce task t's output run (multi-process only)
 //   <dir>/reduce-<t>.done  its commit record
 //
-// A `.done` sidecar is the same atomic tmp+rename protocol as the
-// manifest, scoped to one task: it exists iff the task's data files were
-// fully published first, and it carries the job's input signature, the
-// run extents, and the task metrics. The coordinator treats "the record
-// parses, the signature matches, and every recorded run has an intact
-// footer on disk" as the definition of a committed task — both when a
-// live worker reports DONE and when adopting work from a dead one. The
-// same records double as the durable resume state when the job directory
-// is a checkpoint dir (they are fsynced only in that case).
+// Every file is written under a per-process temp name and atomically
+// renamed into place, so a task's output is all-or-nothing across
+// SIGKILL at any instruction. A `.done` record exists iff the task's
+// data files were fully published first; it carries the job's input
+// signature, the run extents and the task metrics (user counters
+// included, which keeps a resumed job's aggregate counters byte-identical
+// to an uninterrupted run). A task counts as committed iff its record
+// parses, the signature and run count match, and every recorded run has
+// an intact footer on disk — so torn, stale or foreign files degrade to
+// re-execution, never to corrupt output. Records are fsynced (with their
+// directory) only when `durable`: a checkpoint directory must survive
+// power loss, a scoped temp dir dies with the job.
 #ifndef ERLB_MR_TASK_COMMIT_H_
 #define ERLB_MR_TASK_COMMIT_H_
 
@@ -26,20 +28,49 @@
 #include <string>
 #include <string_view>
 
-#include "common/json.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "mr/checkpoint.h"
 #include "mr/metrics.h"
 #include "mr/spill.h"
 
 namespace erlb {
 namespace mr {
 
-/// Everything a `.done` sidecar records about one committed task.
+/// Checkpoint knobs of a job (ExecutionOptions.checkpoint).
+struct CheckpointOptions {
+  /// Root directory for durable spill files + commit records; empty
+  /// disables checkpointing (the default: spills live in a scoped temp
+  /// dir).
+  std::string dir;
+  /// Reuse commit records left by a previous process. When false every
+  /// task re-executes, overwriting what it finds.
+  bool resume = true;
+  /// Opaque input-identity string mixed into the record signature (e.g.
+  /// the serialized BdmFingerprint of the plan driving the job), guarding
+  /// against resuming onto different input.
+  std::string identity;
+  /// Dataflow-level runs only: retain the checkpoint directory after a
+  /// fully successful run instead of retiring it. Useful for debugging
+  /// the records; a retained checkpoint is revalidated (and reused or
+  /// overwritten) by the next run.
+  bool keep_on_success = false;
+};
+
+/// A map task's durable side-output file ("additional output" beyond
+/// the spill stream, e.g. the BDM job's annotated partition). Empty
+/// path means the task committed no side output.
+struct SideOutputFile {
+  std::string path;
+  uint64_t bytes = 0;
+  /// FNV-1a over the file contents, verified before a resumed job
+  /// trusts the bytes.
+  uint64_t checksum = 0;
+};
+
+/// Everything a `.done` record holds about one committed task.
 struct TaskCommitRecord {
   SpillFile file;       ///< published data file + run extents
-  TaskMetrics metrics;  ///< as measured by the committing worker
+  TaskMetrics metrics;  ///< as measured by the committing attempt
   SideOutputFile side;  ///< empty path = the task has no side output
 };
 
@@ -48,10 +79,8 @@ struct TaskCommitRecord {
                                                std::string_view kind,
                                                uint32_t task);
 
-/// Atomically publishes the commit record (tmp.<pid> write + rename).
-/// `durable` adds fsync of the record and the directory — required when
-/// `dir` is a checkpoint directory that must survive power loss, wasted
-/// effort for a scoped temp dir that dies with the job.
+/// Atomically publishes the commit record (tmp.<pid> write + rename),
+/// fsyncing record and directory when `durable`.
 [[nodiscard]] Status WriteTaskCommitRecord(const std::string& dir,
                                            std::string_view kind,
                                            uint32_t task, uint64_t signature,
@@ -66,26 +95,28 @@ struct TaskCommitRecord {
     const std::string& dir, std::string_view kind, uint32_t task,
     uint64_t signature, uint32_t expected_runs, size_t io_buffer_bytes);
 
+/// Verifies that every run recorded in `file` sits inside the on-disk
+/// file with an intact footer (magic, record count, offset layout) and a
+/// plausible record count — every record carries a 4-byte length
+/// prefix, so a run never holds more than bytes / 4 records. The cheap
+/// structural check used before trusting a committed spill file; does
+/// not decode records.
+[[nodiscard]] Status VerifySpillFileFooters(const SpillFile& file,
+                                            size_t io_buffer_bytes);
+
+/// Publishes `bytes` as `path` (tmp.<pid> write + rename, fsynced when
+/// `durable`) and returns its size/checksum descriptor.
+[[nodiscard]] Result<SideOutputFile> WriteSideOutputFile(
+    const std::string& path, std::string_view bytes, bool durable);
+
 /// Reads back a committed side-output file, verifying size and checksum.
 [[nodiscard]] Result<std::string> ReadSideOutputFile(
     const SideOutputFile& side);
 
 namespace internal {
 
-// JSON plumbing shared between the manifest (checkpoint.cc) and the
-// per-task records, so both serialize tasks the same way.
-[[nodiscard]] Json CountersToJson(const Counters& counters);
-[[nodiscard]] bool CountersFromJson(const Json& json, Counters* counters);
-[[nodiscard]] bool GetInt(const Json& obj, std::string_view key,
-                          int64_t* out);
-[[nodiscard]] bool GetUint(const Json& obj, std::string_view key,
-                           uint64_t* out);
-
-// Best-effort fsync of a directory, for rename durability.
-void SyncDir(const std::string& dir);
-
-// Filesystem plumbing for the multi-process job driver (job.h is a
-// header; these keep <filesystem> out of every consumer).
+// Filesystem plumbing for the job driver (job.h is a header; these keep
+// <filesystem> out of every consumer).
 [[nodiscard]] Status EnsureDirectory(const std::string& dir);
 /// `<final_path>.tmp.<pid>` — per-process temp names let a re-run of a
 /// task race a stale worker's in-flight write; the last rename wins.

@@ -1,52 +1,57 @@
-// Durable map-phase checkpoints (mr/checkpoint.h): atomic commit +
-// manifest round-trip, resume validation (signature / shape / damage
-// all degrade to re-execution, never to corrupt output), side-output
-// durability, and the end-to-end contract that a job restarted over a
-// partial checkpoint produces byte-identical results while skipping the
-// committed tasks.
+// Durable checkpoints via per-task commit records (mr/task_commit.h):
+// record round-trip, validation (signature / shape / damage / forged
+// counts all read as "not committed", so the task re-executes instead of
+// feeding corrupt output), side-output durability, and the end-to-end
+// contract that a job restarted over a partial checkpoint produces
+// byte-identical results while skipping the committed tasks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/fault.h"
-#include "common/hash.h"
 #include "common/io_buffer.h"
 #include "common/status.h"
-#include "mr/checkpoint.h"
 #include "mr/job.h"
 #include "mr/spill.h"
+#include "mr/task_commit.h"
 
 namespace erlb {
 namespace {
 
 namespace fs = std::filesystem;
 
-// ---- JobCheckpoint unit tests -------------------------------------------
+// ---- Commit-record unit tests -------------------------------------------
 
-class CheckpointTest : public ::testing::Test {
+class TaskCommitRecordTest : public ::testing::Test {
  protected:
+  static constexpr uint64_t kSignature = 42;
+  static constexpr uint32_t kRuns = 3;
+
   void SetUp() override {
     auto base = ScopedTempDir::Make();
     ASSERT_TRUE(base.ok());
     base_.emplace(std::move(*base));
     dir_ = base_->path() + "/ck";
+    ASSERT_TRUE(mr::internal::EnsureDirectory(dir_).ok());
   }
 
   void TearDown() override { FaultInjector::Global().Reset(); }
 
-  // Writes a committable spill file (valid footers) to `final_path`.tmp
-  // and returns its extents with `path` already pointing at the final
-  // name, mirroring what RunMapTaskExternal hands to CommitMapTask.
-  mr::SpillFile WriteSpill(const std::string& final_path, uint32_t runs,
-                           uint32_t records_per_run) {
+  std::string SpillPath() const { return dir_ + "/spill-0.run"; }
+
+  // Writes a committable spill file (valid footers) and returns its
+  // extents, as the file run store hands them to the commit record.
+  mr::SpillFile WriteSpill(uint32_t runs, uint32_t records_per_run) {
     mr::SpillFileWriter<std::string, int64_t> writer;
-    EXPECT_TRUE(writer.Open(final_path + ".tmp", 256).ok());
+    EXPECT_TRUE(writer.Open(SpillPath(), 256).ok());
     int64_t v = 0;
     for (uint32_t run = 0; run < runs; ++run) {
       EXPECT_TRUE(writer.BeginRun().ok());
@@ -56,133 +61,186 @@ class CheckpointTest : public ::testing::Test {
     }
     auto file = writer.Finish(/*sync=*/true);
     EXPECT_TRUE(file.ok());
-    file->path = final_path;
     return std::move(*file);
   }
 
-  std::unique_ptr<mr::JobCheckpoint> Open(uint64_t signature = 42,
-                                          uint32_t m = 2, uint32_t r = 3,
-                                          bool resume = true) {
-    auto cp = mr::JobCheckpoint::Open(dir_, signature, m, r, resume);
-    EXPECT_TRUE(cp.ok()) << cp.status().ToString();
-    return std::move(*cp);
+  // Commits map task 0 with one counter so metrics restoration is
+  // visible.
+  void CommitTaskZero(const mr::SideOutputFile& side = {}) {
+    mr::TaskCommitRecord record;
+    record.file = WriteSpill(kRuns, 5);
+    record.metrics.input_records = 5;
+    record.metrics.output_records = 15;
+    record.metrics.counters.Increment("test.counter", 7);
+    record.side = side;
+    ASSERT_TRUE(mr::WriteTaskCommitRecord(dir_, "map", 0, kSignature, record,
+                                          /*durable=*/true)
+                    .ok());
   }
 
-  // Commits task 0 with one counter so metrics restoration is visible.
-  void CommitTaskZero(mr::JobCheckpoint* cp) {
-    mr::SpillFile file = WriteSpill(dir_ + "/spill-0.run", 3, 5);
-    mr::TaskMetrics metrics;
-    metrics.input_records = 5;
-    metrics.output_records = 15;
-    metrics.counters.Increment("test.counter", 7);
-    ASSERT_TRUE(
-        cp->CommitMapTask(0, file.path + ".tmp", file, metrics).ok());
+  Result<mr::TaskCommitRecord> Read(uint64_t signature = kSignature,
+                                    uint32_t runs = kRuns) const {
+    return mr::ReadTaskCommitRecord(dir_, "map", 0, signature, runs, 256);
+  }
+
+  // XORs one byte of `path` at `offset` (negative: from the end).
+  static void FlipByte(const std::string& path, std::streamoff offset) {
+    if (offset < 0) {
+      offset += static_cast<std::streamoff>(fs::file_size(path));
+    }
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekg(offset);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte ^= 0x40;
+    f.seekp(offset);
+    f.write(&byte, 1);
   }
 
   std::optional<ScopedTempDir> base_;
   std::string dir_;
 };
 
-TEST_F(CheckpointTest, CommitAndReopenRestoresTask) {
-  auto cp = Open();
-  EXPECT_FALSE(cp->IsMapTaskDone(0));
-  CommitTaskZero(cp.get());
-  EXPECT_TRUE(cp->IsMapTaskDone(0));
-  EXPECT_FALSE(cp->IsMapTaskDone(1));
-  // The tmp file was renamed into place.
-  EXPECT_TRUE(fs::exists(dir_ + "/spill-0.run"));
-  EXPECT_FALSE(fs::exists(dir_ + "/spill-0.run.tmp"));
+TEST_F(TaskCommitRecordTest, CommitAndReadBackRestoresTask) {
+  EXPECT_TRUE(Read().status().IsNotFound());
+  CommitTaskZero();
+  // Published under the final name only.
+  EXPECT_TRUE(fs::exists(mr::TaskCommitRecordPath(dir_, "map", 0)));
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().string().find(".tmp"), std::string::npos)
+        << entry.path();
+  }
+  EXPECT_TRUE(mr::ReadTaskCommitRecord(dir_, "map", 1, kSignature, kRuns, 256)
+                  .status()
+                  .IsNotFound());
 
-  // A fresh process (new JobCheckpoint) sees the committed task.
-  auto cp2 = Open();
-  ASSERT_TRUE(cp2->IsMapTaskDone(0));
-  mr::SpillFile restored = cp2->CompletedSpill(0);
-  EXPECT_EQ(restored.path, dir_ + "/spill-0.run");
-  ASSERT_EQ(restored.runs.size(), 3u);
-  EXPECT_EQ(restored.runs[0].records, 5u);
-  EXPECT_EQ(fs::file_size(restored.path), restored.TotalBytes());
-  mr::TaskMetrics metrics = cp2->CompletedMetrics(0);
-  EXPECT_EQ(metrics.input_records, 5);
-  EXPECT_EQ(metrics.output_records, 15);
-  EXPECT_EQ(metrics.counters.Get("test.counter"), 7);
+  auto restored = Read();
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->file.path, SpillPath());
+  ASSERT_EQ(restored->file.runs.size(), kRuns);
+  EXPECT_EQ(restored->file.runs[0].records, 5u);
+  EXPECT_EQ(fs::file_size(restored->file.path), restored->file.TotalBytes());
+  EXPECT_EQ(restored->metrics.task_index, 0u);
+  EXPECT_EQ(restored->metrics.input_records, 5);
+  EXPECT_EQ(restored->metrics.output_records, 15);
+  EXPECT_EQ(restored->metrics.counters.Get("test.counter"), 7);
   // No side output was committed.
-  EXPECT_TRUE(cp2->CompletedSideOutput(0).status().IsNotFound());
+  EXPECT_TRUE(restored->side.path.empty());
 }
 
-TEST_F(CheckpointTest, SignatureMismatchStartsFresh) {
-  CommitTaskZero(Open().get());
-  EXPECT_FALSE(Open(/*signature=*/43)->IsMapTaskDone(0));
+// Every way a record can fail to describe the job's committed output.
+// Each case commits task 0 afresh, applies its damage, and reads the
+// record back with the given signature and run count: the read must
+// fail, which the job treats as "not committed" and re-executes.
+TEST_F(TaskCommitRecordTest, MismatchOrDamageReadsAsUncommitted) {
+  struct Case {
+    const char* name;
+    std::function<void()> damage;
+    uint64_t signature = kSignature;
+    uint32_t runs = kRuns;
+  };
+  const std::string record_path = mr::TaskCommitRecordPath(dir_, "map", 0);
+  const std::vector<Case> cases = {
+      {"signature mismatch", [] {}, kSignature + 1},
+      {"shape mismatch (reduce task count)", [] {}, kSignature, kRuns + 1},
+      {"truncated spill file",
+       [&] { fs::resize_file(SpillPath(), fs::file_size(SpillPath()) - 1); }},
+      // Flips a bit in the final run's footer magic.
+      {"corrupt footer",
+       [&] {
+         FlipByte(SpillPath(),
+                  -static_cast<std::streamoff>(mr::kRunFooterBytes));
+       }},
+      {"garbage record",
+       [&] { std::ofstream(record_path, std::ios::trunc) << "{not json"; }},
+      {"empty record",
+       [&] { std::ofstream(record_path, std::ios::trunc) << ""; }},
+      {"missing spill file", [&] { fs::remove(SpillPath()); }},
+  };
+  for (const Case& c : cases) {
+    fs::remove_all(dir_);
+    ASSERT_TRUE(mr::internal::EnsureDirectory(dir_).ok());
+    CommitTaskZero();
+    ASSERT_TRUE(Read().ok()) << c.name;
+    c.damage();
+    EXPECT_FALSE(Read(c.signature, c.runs).ok()) << c.name;
+  }
 }
 
-TEST_F(CheckpointTest, ShapeMismatchStartsFresh) {
-  CommitTaskZero(Open().get());
-  EXPECT_FALSE(Open(42, /*m=*/5, /*r=*/3)->IsMapTaskDone(0));
-  EXPECT_FALSE(Open(42, /*m=*/2, /*r=*/4)->IsMapTaskDone(0));
-}
-
-TEST_F(CheckpointTest, ResumeDisabledStartsFresh) {
-  CommitTaskZero(Open().get());
-  EXPECT_FALSE(Open(42, 2, 3, /*resume=*/false)->IsMapTaskDone(0));
-}
-
-TEST_F(CheckpointTest, TruncatedSpillFileDegradesToReexecution) {
-  CommitTaskZero(Open().get());
-  const std::string path = dir_ + "/spill-0.run";
-  fs::resize_file(path, fs::file_size(path) - 1);
-  EXPECT_FALSE(Open()->IsMapTaskDone(0));
-}
-
-TEST_F(CheckpointTest, CorruptFooterDegradesToReexecution) {
-  CommitTaskZero(Open().get());
-  const std::string path = dir_ + "/spill-0.run";
-  // Flip a bit in the final run's footer magic.
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(f.good());
-  f.seekp(static_cast<std::streamoff>(fs::file_size(path)) -
-          static_cast<std::streamoff>(mr::kRunFooterBytes));
-  char byte = 0;
-  f.read(&byte, 1);
-  byte ^= 0x40;
-  f.seekp(-1, std::ios::cur);
-  f.write(&byte, 1);
-  f.close();
-  EXPECT_FALSE(Open()->IsMapTaskDone(0));
-}
-
-TEST_F(CheckpointTest, GarbageManifestDegradesToEmpty) {
-  CommitTaskZero(Open().get());
-  std::ofstream(dir_ + "/manifest.json") << "{not json";
-  EXPECT_FALSE(Open()->IsMapTaskDone(0));
-  std::ofstream(dir_ + "/manifest.json") << "";
-  EXPECT_FALSE(Open()->IsMapTaskDone(0));
-}
-
-TEST_F(CheckpointTest, SideOutputRoundTripAndCorruption) {
-  auto cp = Open();
-  mr::SpillFile file = WriteSpill(dir_ + "/spill-0.run", 3, 2);
-  const std::string side_bytes = "annotated partition payload \x01\x02";
-  mr::SideOutputFile side;
-  side.path = dir_ + "/side-0.dat";
-  side.bytes = side_bytes.size();
-  side.checksum = Fnv1aHash(side_bytes.data(), side_bytes.size());
-  std::ofstream(side.path + ".tmp", std::ios::binary) << side_bytes;
-  mr::TaskMetrics metrics;
-  ASSERT_TRUE(cp->CommitMapTask(0, file.path + ".tmp", file, metrics,
-                                side.path + ".tmp", side)
+TEST_F(TaskCommitRecordTest, ForgedRecordCountIsRejected) {
+  // A record + footer pair that agree with each other but claim 10^12
+  // records in an 8-byte run: the count would drive a reservation when
+  // the parent collects the run, so it must not validate.
+  constexpr uint64_t kForged = 1'000'000'000'000ULL;
+  const std::string path = dir_ + "/out-0.run";
+  {
+    std::ofstream out(path, std::ios::binary);
+    const char data[8] = {};
+    out.write(data, sizeof(data));
+    char footer[mr::kRunFooterBytes];
+    mr::EncodeRunFooter(mr::RunFooter{kForged, 0}, footer);
+    out.write(footer, sizeof(footer));
+  }
+  mr::TaskCommitRecord record;
+  record.file.path = path;
+  record.file.runs.push_back(mr::RunExtent{0, 8, kForged});
+  ASSERT_TRUE(mr::WriteTaskCommitRecord(dir_, "reduce", 0, kSignature,
+                                        record, /*durable=*/false)
                   .ok());
-  EXPECT_FALSE(fs::exists(side.path + ".tmp"));
+  auto read = mr::ReadTaskCommitRecord(dir_, "reduce", 0, kSignature,
+                                       /*expected_runs=*/1, 256);
+  EXPECT_TRUE(read.status().IsIOError()) << read.status().ToString();
 
-  auto cp2 = Open();
-  ASSERT_TRUE(cp2->IsMapTaskDone(0));
-  auto restored = cp2->CompletedSideOutput(0);
+  // The same file with an honest count (2 records fit in 8 bytes of
+  // length prefixes) passes the structural check.
+  record.file.runs[0].records = 2;
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    char footer[mr::kRunFooterBytes];
+    mr::EncodeRunFooter(mr::RunFooter{2, 0}, footer);
+    f.seekp(8);
+    f.write(footer, sizeof(footer));
+  }
+  EXPECT_TRUE(mr::VerifySpillFileFooters(record.file, 256).ok());
+}
+
+TEST_F(TaskCommitRecordTest, SideOutputRoundTripAndCorruption) {
+  const std::string side_bytes = "annotated partition payload \x01\x02";
+  auto side = mr::WriteSideOutputFile(dir_ + "/side-0.dat", side_bytes,
+                                      /*durable=*/true);
+  ASSERT_TRUE(side.ok()) << side.status().ToString();
+  CommitTaskZero(*side);
+
+  auto record = Read();
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  ASSERT_EQ(record->side.path, dir_ + "/side-0.dat");
+  auto restored = mr::ReadSideOutputFile(record->side);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(*restored, side_bytes);
 
-  // Damage the side file: checksum verification must reject it.
-  std::ofstream(side.path, std::ios::binary) << "annotated partition payXoad";
-  auto cp3 = Open();
-  ASSERT_TRUE(cp3->IsMapTaskDone(0));  // spill itself is still intact
-  EXPECT_FALSE(cp3->CompletedSideOutput(0).ok());
+  // Damage the side file: checksum verification must reject it while
+  // the record (and its spill file) stay intact.
+  std::ofstream(record->side.path, std::ios::binary)
+      << "annotated partition payXoad";
+  auto record2 = Read();
+  ASSERT_TRUE(record2.ok());
+  EXPECT_FALSE(mr::ReadSideOutputFile(record2->side).ok());
+}
+
+TEST_F(TaskCommitRecordTest, FaultSitesGuardReadAndWrite) {
+  CommitTaskZero();
+  auto& fi = FaultInjector::Global();
+  ASSERT_TRUE(fi.ConfigureFromString("checkpoint.load=error@1").ok());
+  EXPECT_FALSE(Read().ok());
+  EXPECT_TRUE(Read().ok());  // one-shot
+  fi.Reset();
+  ASSERT_TRUE(fi.ConfigureFromString("checkpoint.commit=error@1").ok());
+  mr::TaskCommitRecord record;
+  EXPECT_FALSE(
+      mr::WriteTaskCommitRecord(dir_, "map", 1, kSignature, record, false)
+          .ok());
+  EXPECT_FALSE(fs::exists(mr::TaskCommitRecordPath(dir_, "map", 1)));
 }
 
 // ---- End-to-end: restart over a partial checkpoint ----------------------
@@ -297,6 +355,30 @@ TEST(CheckpointedJobTest, RestartResumesCommittedTasksIdentically) {
               reference.metrics.map_tasks[t].counters.values())
         << "map task " << t;
   }
+}
+
+TEST(CheckpointedJobTest, ResumeDisabledReexecutesEveryTask) {
+  auto base = ScopedTempDir::Make();
+  ASSERT_TRUE(base.ok());
+  mr::ExecutionOptions opts;
+  opts.mode = mr::ExecutionMode::kExternal;
+  opts.io_buffer_bytes = 256;
+  opts.checkpoint.dir = base->path() + "/ck";
+
+  auto spec = AggSpec(3);
+  auto input = JobInput();
+  auto first = mr::JobRunner(1, opts).Run(spec, input);
+  ASSERT_TRUE(first.status.ok());
+  auto resumed = mr::JobRunner(1, opts).Run(spec, input);
+  ASSERT_TRUE(resumed.status.ok());
+  EXPECT_EQ(resumed.metrics.map_tasks_resumed, 4);
+
+  // Valid records are on disk, but resume is off: nothing is restored.
+  opts.checkpoint.resume = false;
+  auto fresh = mr::JobRunner(1, opts).Run(spec, input);
+  ASSERT_TRUE(fresh.status.ok()) << fresh.status.ToString();
+  EXPECT_EQ(fresh.metrics.map_tasks_resumed, 0);
+  EXPECT_EQ(fresh.outputs_per_reduce_task, first.outputs_per_reduce_task);
 }
 
 TEST(CheckpointedJobTest, DifferentInputInvalidatesCheckpoint) {

@@ -1,4 +1,4 @@
-// Differential tests for the reduce-side shuffle: the loser-tree k-way
+// Differential tests for the reduce-side shuffle: the in-memory k-way
 // merge (mr/merge.h) must produce exactly the sequence the engine's old
 // concatenate-then-stable-sort path produced — including equal-key ties
 // across runs (grouped by run index, run order preserved) — both at the
@@ -25,45 +25,35 @@ bool PairKeyLess(const IntPair& a, const IntPair& b) {
   return a.first < b.first;
 }
 
-// Both merge implementations must satisfy the same contract; every test
-// below exercises the engine's MergeSortedRuns and the LoserTreeMerge
-// alternative.
-enum class MergeImpl { kBinaryTree, kLoserTree };
-
-std::vector<IntPair> RunMerge(MergeImpl impl,
-                              std::vector<std::vector<IntPair>> runs) {
-  return impl == MergeImpl::kBinaryTree
-             ? MergeSortedRuns(std::span(runs), PairKeyLess)
-             : LoserTreeMerge(std::span(runs), PairKeyLess);
+std::vector<IntPair> RunMerge(std::vector<std::vector<IntPair>> runs) {
+  return MergeSortedRuns(std::span(runs), PairKeyLess);
 }
 
-class MergeKernelTest : public ::testing::TestWithParam<MergeImpl> {};
-
-TEST_P(MergeKernelTest, NoRunsAndAllEmptyRuns) {
-  EXPECT_TRUE(RunMerge(GetParam(), {}).empty());
-  EXPECT_TRUE(RunMerge(GetParam(), std::vector<std::vector<IntPair>>(4))
+TEST(MergeKernelTest, NoRunsAndAllEmptyRuns) {
+  EXPECT_TRUE(RunMerge({}).empty());
+  EXPECT_TRUE(RunMerge(std::vector<std::vector<IntPair>>(4))
                   .empty());
 }
 
-TEST_P(MergeKernelTest, SingleRunMovesThroughUnchanged) {
+TEST(MergeKernelTest, SingleRunMovesThroughUnchanged) {
   std::vector<std::vector<IntPair>> runs(3);
   runs[1] = {{1, 10}, {1, 11}, {4, 12}};
-  EXPECT_EQ(RunMerge(GetParam(), std::move(runs)),
+  EXPECT_EQ(RunMerge(std::move(runs)),
             (std::vector<IntPair>{{1, 10}, {1, 11}, {4, 12}}));
 }
 
-TEST_P(MergeKernelTest, EqualKeysGroupByRunIndexInRunOrder) {
+TEST(MergeKernelTest, EqualKeysGroupByRunIndexInRunOrder) {
   // Keys tie across all three runs; the merged sequence must list run 0's
   // pairs first, then run 1's, then run 2's — each in run order.
   std::vector<std::vector<IntPair>> runs(3);
   runs[0] = {{5, 1}, {5, 2}};
   runs[1] = {{5, 3}};
   runs[2] = {{3, 4}, {5, 5}};
-  EXPECT_EQ(RunMerge(GetParam(), std::move(runs)),
+  EXPECT_EQ(RunMerge(std::move(runs)),
             (std::vector<IntPair>{{3, 4}, {5, 1}, {5, 2}, {5, 3}, {5, 5}}));
 }
 
-TEST_P(MergeKernelTest, DifferentialAgainstConcatStableSortIntKeys) {
+TEST(MergeKernelTest, DifferentialAgainstConcatStableSortIntKeys) {
   Pcg32 rng(7);
   for (int trial = 0; trial < 200; ++trial) {
     const size_t m = 1 + rng.NextBounded(9);
@@ -80,12 +70,12 @@ TEST_P(MergeKernelTest, DifferentialAgainstConcatStableSortIntKeys) {
     auto expected = ConcatAndStableSort(
         std::span<const std::vector<IntPair>>(master), PairKeyLess);
     // Serial values are unique, so equality checks the exact sequence.
-    ASSERT_EQ(RunMerge(GetParam(), master), expected)
+    ASSERT_EQ(RunMerge(master), expected)
         << "trial " << trial << " m=" << m;
   }
 }
 
-TEST_P(MergeKernelTest, DifferentialAgainstConcatStableSortStringKeys) {
+TEST(MergeKernelTest, DifferentialAgainstConcatStableSortStringKeys) {
   using StrPair = std::pair<std::string, int>;
   auto less = [](const StrPair& a, const StrPair& b) {
     return a.first < b.first;
@@ -107,21 +97,10 @@ TEST_P(MergeKernelTest, DifferentialAgainstConcatStableSortStringKeys) {
     auto expected = ConcatAndStableSort(
         std::span<const std::vector<StrPair>>(master), less);
     auto runs = master;  // the merges consume their input
-    auto actual = GetParam() == MergeImpl::kBinaryTree
-                      ? MergeSortedRuns(std::span(runs), less)
-                      : LoserTreeMerge(std::span(runs), less);
+    auto actual = MergeSortedRuns(std::span(runs), less);
     ASSERT_EQ(actual, expected) << "trial " << trial;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(BothImpls, MergeKernelTest,
-                         ::testing::Values(MergeImpl::kBinaryTree,
-                                           MergeImpl::kLoserTree),
-                         [](const auto& info) {
-                           return info.param == MergeImpl::kBinaryTree
-                                      ? "BinaryTree"
-                                      : "LoserTree";
-                         });
 
 // ---------------------------------------------------------------------
 // Job-level differential: run a job through the engine and compare every

@@ -276,9 +276,39 @@ TEST(PlanJsonErrorsTest, RejectsMalformedDocuments) {
                   .IsInvalidArgument());
   // Valid format but truncated document.
   EXPECT_TRUE(
-      lb::MatchPlanFromJson("{\"format\": \"erlb.match_plan/1\"}")
+      lb::MatchPlanFromJson("{\"format\": \"erlb.match_plan/2\"}")
           .status()
           .IsInvalidArgument());
+}
+
+TEST(PlanJsonErrorsTest, RejectsV1AndMissingContentHash) {
+  // A plan is only safe to execute against the exact BDM it was built
+  // from; documents that cannot prove that (format v1, or v2 without
+  // bdm.content_hash) must not load.
+  bdm::Bdm bdm = PaperBdm();
+  MatchJobOptions options;
+  options.num_reduce_tasks = 3;
+  auto plan =
+      lb::MakeStrategy(StrategyKind::kBlockSplit)->BuildPlan(bdm, options);
+  ASSERT_TRUE(plan.ok());
+  const std::string json = lb::MatchPlanToJson(*plan);
+  ASSERT_TRUE(lb::MatchPlanFromJson(json).ok());
+
+  std::string v1 = json;
+  const std::string v2_tag = "erlb.match_plan/2";
+  size_t pos = v1.find(v2_tag);
+  ASSERT_NE(pos, std::string::npos);
+  v1.replace(pos, v2_tag.size(), "erlb.match_plan/1");
+  EXPECT_TRUE(lb::MatchPlanFromJson(v1).status().IsInvalidArgument());
+
+  std::string no_hash = json;
+  const std::string hash_key = "\"content_hash\": ";
+  pos = no_hash.find(hash_key);
+  ASSERT_NE(pos, std::string::npos);
+  // Rename the key: the document stays well-formed JSON, just without
+  // the field.
+  no_hash.replace(pos, hash_key.size(), "\"content_hasx\": ");
+  EXPECT_TRUE(lb::MatchPlanFromJson(no_hash).status().IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -67,6 +68,16 @@ TEST(SpillCodecTest, DecodeRejectsTruncation) {
     EXPECT_FALSE(SpillCodec<std::string>::Decode(&p, end, &out))
         << "accepted a truncation at " << cut;
   }
+  // A vector count larger than the bytes left must be rejected before it
+  // sizes an allocation (0xF0000000 elements would throw bad_alloc).
+  std::string vec_buf;
+  SpillCodec<std::vector<std::string>>::Encode({"a", "b"}, &vec_buf);
+  const uint32_t huge = 0xF0000000u;
+  std::memcpy(vec_buf.data(), &huge, sizeof(huge));
+  const char* p = vec_buf.data();
+  std::vector<std::string> vec;
+  EXPECT_FALSE(SpillCodec<std::vector<std::string>>::Decode(
+      &p, vec_buf.data() + vec_buf.size(), &vec));
 }
 
 TEST(SpillCodecTest, EntityRef) {
@@ -210,6 +221,30 @@ TEST(SpillFileTest, CursorReportsCorruptRecords) {
   Status s = cursor.Open(path, extent, 64);
   EXPECT_FALSE(s.ok());
   EXPECT_TRUE(cursor.exhausted());
+}
+
+TEST(SpillFileTest, CursorRejectsOversizedVectorCount) {
+  auto dir = ScopedTempDir::Make();
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->path() + "/count.run";
+  SpillFileWriter<uint32_t, std::vector<std::string>> writer;
+  ASSERT_TRUE(writer.Open(path, 64).ok());
+  ASSERT_TRUE(writer.BeginRun().ok());
+  ASSERT_TRUE(writer.Append(7, {"a", "b"}).ok());
+  auto file = writer.Finish();
+  ASSERT_TRUE(file.ok());
+  // Record layout: u32 length | u32 key | u32 element count | ...
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const uint32_t huge = 0xF0000000u;
+    f.seekp(2 * sizeof(uint32_t));
+    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
+  RunCursor<uint32_t, std::vector<std::string>> cursor;
+  Status s = cursor.Open(path, file->runs[0], 64);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_TRUE(cursor.exhausted());
+  EXPECT_TRUE(cursor.status().IsIOError());
 }
 
 // ---- Run footers: tamper detection --------------------------------------

@@ -1,5 +1,5 @@
 // Work-stealing scheduler: claim-exactly-once semantics, determinism of
-// job outputs across scheduler kinds / worker counts / repeated runs
+// job outputs across worker counts / repeated runs
 // (the TSan preset runs this file too), and the sampling presplitter.
 #include "mr/task_scheduler.h"
 
@@ -79,7 +79,7 @@ TEST(WorkStealingSchedulerTest, StealsFromStragglerShard) {
 
 // ---------------------------------------------------------------------
 // Determinism: the same job must produce byte-identical outputs whatever
-// the scheduler kind, worker count, or run repetition.
+// the worker count or run repetition.
 // ---------------------------------------------------------------------
 
 class TokenMapper : public Mapper<int, std::string, std::string, int> {
@@ -150,43 +150,13 @@ std::string Serialize(const JobResult<std::string, int>& result) {
   return out;
 }
 
-TEST(SchedulerDeterminismTest, OutputsIdenticalAcrossSchedulersAndWorkers) {
+TEST(SchedulerDeterminismTest, OutputsIdenticalAcrossWorkerCounts) {
   const auto input = TokenInput();
   std::string reference;
-  for (TaskSchedulerKind kind :
-       {TaskSchedulerKind::kFifo, TaskSchedulerKind::kWorkStealing}) {
-    for (size_t workers : {1u, 2u, 3u, 8u}) {
-      for (int repeat = 0; repeat < 3; ++repeat) {
-        ExecutionOptions options;
-        options.scheduler = kind;
-        JobRunner runner(workers, options);
-        auto result = runner.Run(TokenSpec(5), input);
-        ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-        const std::string serialized = Serialize(result);
-        if (reference.empty()) {
-          reference = serialized;
-          ASSERT_FALSE(reference.empty());
-        } else {
-          EXPECT_EQ(serialized, reference)
-              << TaskSchedulerKindName(kind) << " workers=" << workers
-              << " repeat=" << repeat;
-        }
-      }
-    }
-  }
-}
-
-TEST(SchedulerDeterminismTest, ExternalModeIdenticalAcrossSchedulers) {
-  const auto input = TokenInput();
-  std::string reference;
-  for (TaskSchedulerKind kind :
-       {TaskSchedulerKind::kFifo, TaskSchedulerKind::kWorkStealing}) {
-    for (size_t workers : {1u, 4u}) {
-      ExecutionOptions options;
-      options.mode = ExecutionMode::kExternal;
-      options.scheduler = kind;
-      JobRunner runner(workers, options);
-      auto result = runner.Run(TokenSpec(4), input);
+  for (size_t workers : {1u, 2u, 3u, 8u}) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      JobRunner runner(workers);
+      auto result = runner.Run(TokenSpec(5), input);
       ASSERT_TRUE(result.status.ok()) << result.status.ToString();
       const std::string serialized = Serialize(result);
       if (reference.empty()) {
@@ -194,8 +164,27 @@ TEST(SchedulerDeterminismTest, ExternalModeIdenticalAcrossSchedulers) {
         ASSERT_FALSE(reference.empty());
       } else {
         EXPECT_EQ(serialized, reference)
-            << TaskSchedulerKindName(kind) << " workers=" << workers;
+            << "workers=" << workers << " repeat=" << repeat;
       }
+    }
+  }
+}
+
+TEST(SchedulerDeterminismTest, ExternalModeIdenticalAcrossWorkerCounts) {
+  const auto input = TokenInput();
+  std::string reference;
+  for (size_t workers : {1u, 4u}) {
+    ExecutionOptions options;
+    options.mode = ExecutionMode::kExternal;
+    JobRunner runner(workers, options);
+    auto result = runner.Run(TokenSpec(4), input);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    const std::string serialized = Serialize(result);
+    if (reference.empty()) {
+      reference = serialized;
+      ASSERT_FALSE(reference.empty());
+    } else {
+      EXPECT_EQ(serialized, reference) << "workers=" << workers;
     }
   }
 }
