@@ -30,15 +30,15 @@ int main() {
     auto bdm = bench::BuildBdm(entities, blocking, m);
     lb::MatchJobOptions options;
     options.num_reduce_tasks = kReduceTasks;
-    auto plan = strategy->Plan(bdm, options);
+    auto plan = strategy->BuildPlan(bdm, options);
     ERLB_CHECK(plan.ok());
     auto split_sim = bench::Simulate(lb::StrategyKind::kBlockSplit, bdm,
                                      kReduceTasks, kNodes, cost);
     auto range_sim = bench::Simulate(lb::StrategyKind::kPairRange, bdm,
                                      kReduceTasks, kNodes, cost);
     table.AddRow({std::to_string(m),
-                  bench::Fmt(plan->ReduceImbalance(), 2),
-                  FormatWithCommas(plan->TotalMapOutputPairs()),
+                  bench::Fmt(plan->stats().ReduceImbalance(), 2),
+                  FormatWithCommas(plan->stats().TotalMapOutputPairs()),
                   bench::Fmt(split_sim.total_s),
                   bench::Fmt(range_sim.total_s)});
   }

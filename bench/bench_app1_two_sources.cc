@@ -8,8 +8,9 @@
 #include "bench_common.h"
 #include "bdm/bdm_job.h"
 #include "common/string_util.h"
-#include "core/pipeline.h"
+#include "core/dataflow.h"
 #include "core/reference.h"
+#include "core/stages.h"
 #include "core/table.h"
 #include "lb/block_split_plan.h"
 
@@ -73,7 +74,7 @@ void AppendixExample() {
         *bdm_out->annotated, bdm, all, options, runner);
     ERLB_CHECK(out.ok());
     std::printf("%s: comparisons=%lld matches=%zu map KV pairs=%lld\n",
-                lb::StrategyName(kind),
+                lb::StrategyKindToName(kind),
                 static_cast<long long>(out->comparisons),
                 out->matches.size(),
                 static_cast<long long>(
@@ -102,21 +103,28 @@ void SyntheticLinkage() {
   core::TextTable table;
   table.SetHeader({"strategy", "matches", "comparisons", "map KV pairs",
                    "wall s", "== reference"});
-  for (auto kind : lb::AllStrategies()) {
-    core::ErPipelineConfig cfg;
-    cfg.strategy = kind;
-    cfg.num_map_tasks = 6;
-    cfg.num_reduce_tasks = 24;
-    core::ErPipeline pipeline(cfg);
-    auto result = pipeline.Link(*r_ents, *s_ents, blocking, matcher);
-    ERLB_CHECK(result.ok());
-    table.AddRow({lb::StrategyName(kind),
-                  FormatWithCommas(result->matches.size()),
-                  FormatWithCommas(result->comparisons),
+  for (auto kind : lb::AllStrategyKinds()) {
+    core::StandardGraphOptions graph;
+    graph.strategy = kind;
+    graph.num_reduce_tasks = 24;
+    auto input = core::LinkagePartitions(*r_ents, *s_ents, 6);
+    ERLB_CHECK(input.ok());
+    core::Dataflow df;
+    ERLB_CHECK(df.AddInput(core::kDatasetPartitions,
+                           core::Dataset(std::move(*input)))
+                   .ok());
+    ERLB_CHECK(core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
+    auto report = df.Run();
+    ERLB_CHECK(report.ok());
+    auto matches = df.Take<er::MatchResult>(core::kDatasetMatches);
+    ERLB_CHECK(matches.ok());
+    table.AddRow({lb::StrategyKindToName(kind),
+                  FormatWithCommas(matches->size()),
+                  FormatWithCommas(report->TotalComparisons()),
                   FormatWithCommas(
-                      result->match_metrics.TotalMapOutputPairs()),
-                  bench::Fmt(result->total_seconds, 2),
-                  result->matches.SameAs(reference) ? "yes" : "NO"});
+                      report->Find("match")->job->TotalMapOutputPairs()),
+                  bench::Fmt(report->total_seconds, 2),
+                  matches->SameAs(reference) ? "yes" : "NO"});
   }
   table.Print();
 }

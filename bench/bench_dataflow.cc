@@ -1,11 +1,14 @@
-// Dataflow-adapter overhead micro benchmark: ErPipeline now builds and
-// runs the standard stage graph (core/dataflow.h), so this bench pins
-// the cost of that indirection — graph construction alone, and the full
-// adapter run against the same jobs invoked directly (RunBdmJob +
-// BuildPlan + ExecutePlan on one runner, the pre-dataflow pipeline
-// body). The `overhead/direct_vs_adapter` ratio must stay ~1x; it is
-// gated by tools/bench_compare.py against the committed
-// BENCH_dataflow.json baseline.
+// Dataflow overhead micro benchmark: every workload runs the standard
+// stage graph (core/dataflow.h, core/stages.h), so this bench pins the
+// cost of that indirection — graph construction alone, and a full graph
+// run against the same jobs invoked directly (RunBdmJob + BuildPlan +
+// ExecutePlan on one runner, the pre-dataflow pipeline body). The
+// entries keep their historical names: `run/pipeline_adapter` is the
+// graph built and run directly (input binding, standard chain, run,
+// match dataset taken out), and `overhead/direct_vs_adapter` is direct
+// jobs / graph run, which must stay ~1x; it is gated by
+// tools/bench_compare.py against the committed BENCH_dataflow.json
+// baseline.
 //
 //   $ ./bench_dataflow [--json <path>] [--reps N] [--min-rep-ms N]
 #include <string>
@@ -14,7 +17,7 @@
 #include "bdm/bdm_job.h"
 #include "bench_json.h"
 #include "common/logging.h"
-#include "core/pipeline.h"
+#include "core/dataflow.h"
 #include "core/stages.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
@@ -45,22 +48,34 @@ int main(int argc, char** argv) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  core::ErPipelineConfig config;
-  config.strategy = lb::StrategyKind::kBlockSplit;
-  config.num_map_tasks = m;
-  config.num_reduce_tasks = r;
-  config.num_workers = workers;
-  core::ErPipeline pipeline(config);
+  core::DataflowOptions options;
+  options.num_workers = workers;
+  core::StandardGraphOptions graph;
+  graph.strategy = lb::StrategyKind::kBlockSplit;
+  graph.num_reduce_tasks = r;
+
+  // The standard graph over `parts`, built but not run.
+  auto build_graph = [&] {
+    core::Dataflow df(options);
+    core::PartitionedEntities input;
+    input.partitions = parts;
+    Status bound =
+        df.AddInput(core::kDatasetPartitions, core::Dataset(std::move(input)));
+    ERLB_CHECK(bound.ok());
+    ERLB_CHECK(
+        core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
+    return df;
+  };
 
   // The pre-dataflow pipeline body: both jobs on one directly-owned
   // runner, no graph, no report.
   harness.Run("run/direct_jobs", [&] {
-    mr::JobRunner runner(workers, config.execution);
+    mr::JobRunner runner(workers, options.execution);
     bdm::BdmJobOptions bdm_options;
     bdm_options.num_reduce_tasks = r;
     auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
     ERLB_CHECK(bdm_out.ok());
-    auto strategy = lb::MakeStrategy(config.strategy);
+    auto strategy = lb::MakeStrategy(graph.strategy);
     lb::MatchJobOptions match_options;
     match_options.num_reduce_tasks = r;
     auto plan = strategy->BuildPlan(bdm_out->bdm, match_options);
@@ -71,16 +86,18 @@ int main(int argc, char** argv) {
     ERLB_CHECK(out->matches.size() > 0);
   });
 
-  // The adapter: same jobs, reached through graph build + validate +
-  // run + report assembly.
+  // The graph: same jobs, reached through graph build + validate + run +
+  // report assembly.
   harness.Run("run/pipeline_adapter", [&] {
-    auto result = pipeline.DeduplicatePartitioned(parts, blocking, matcher);
-    ERLB_CHECK(result.ok());
-    ERLB_CHECK(result->matches.size() > 0);
+    core::Dataflow df = build_graph();
+    ERLB_CHECK(df.Run().ok());
+    auto matches = df.Take<er::MatchResult>(core::kDatasetMatches);
+    ERLB_CHECK(matches.ok());
+    ERLB_CHECK(matches->size() > 0);
   });
 
-  // direct / adapter; ~1.0 means the graph machinery is free at job
-  // granularity. Gated (higher is better, so a regression = adapter
+  // direct / graph; ~1.0 means the graph machinery is free at job
+  // granularity. Gated (higher is better, so a regression = the graph
   // getting relatively slower).
   harness.Speedup("overhead/direct_vs_adapter", "run/direct_jobs",
                   "run/pipeline_adapter");
@@ -88,15 +105,8 @@ int main(int argc, char** argv) {
   // Graph construction alone (no execution): stage allocation, dataset
   // wiring, DAG validation, input binding.
   harness.Run("build/standard_graph", [&] {
-    auto df = core::BuildStandardDataflow(config, blocking, matcher);
-    ERLB_CHECK(df.ok());
-    core::PartitionedEntities input;
-    input.partitions = parts;
-    core::Dataset dataset(std::move(input));
-    Status bound =
-        df->AddInput(core::kDatasetPartitions, std::move(dataset));
-    ERLB_CHECK(bound.ok());
-    ERLB_CHECK(df->Validate().ok());
+    core::Dataflow df = build_graph();
+    ERLB_CHECK(df.Validate().ok());
   });
 
   return harness.Finish();

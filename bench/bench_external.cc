@@ -42,7 +42,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
-#include "core/pipeline.h"
+#include "core/dataflow.h"
 #include "core/stages.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
@@ -213,23 +213,24 @@ CaseResult RunPipelineCase(const CaseConfig& config, Mode mode) {
   auto entities = gen::GenerateSkewed(gen_config);
   ERLB_CHECK(entities.ok()) << entities.status().ToString();
 
-  core::ErPipelineConfig pipeline_config;
-  pipeline_config.strategy = lb::StrategyKind::kBlockSplit;
-  pipeline_config.num_map_tasks = 8;
-  pipeline_config.num_reduce_tasks = 32;
+  const uint32_t num_map_tasks = 8;
+  core::StandardGraphOptions graph;
+  graph.strategy = lb::StrategyKind::kBlockSplit;
+  graph.num_reduce_tasks = 32;
+  core::DataflowOptions options;
   switch (mode) {
     case Mode::kExternal:
       // kAuto + tiny threshold: the engine must decide to spill on its
       // own.
-      pipeline_config.execution.mode = mr::ExecutionMode::kAuto;
-      pipeline_config.execution.spill_threshold_bytes = uint64_t{1} << 20;
+      options.execution.mode = mr::ExecutionMode::kAuto;
+      options.execution.spill_threshold_bytes = uint64_t{1} << 20;
       break;
     case Mode::kInMemory:
-      pipeline_config.execution.mode = mr::ExecutionMode::kInMemory;
+      options.execution.mode = mr::ExecutionMode::kInMemory;
       break;
     case Mode::kMultiProcess:
-      pipeline_config.execution.mode = mr::ExecutionMode::kMultiProcess;
-      pipeline_config.execution.num_worker_processes = kWorkerProcesses;
+      options.execution.mode = mr::ExecutionMode::kMultiProcess;
+      options.execution.num_worker_processes = kWorkerProcesses;
       break;
   }
 
@@ -237,15 +238,15 @@ CaseResult RunPipelineCase(const CaseConfig& config, Mode mode) {
   er::JaroWinklerMatcher matcher(0.9, gen::kSkewTitleField);
 
   Stopwatch watch;
-  auto df = core::BuildStandardDataflow(pipeline_config, blocking, matcher);
-  ERLB_CHECK(df.ok()) << df.status().ToString();
+  core::Dataflow df(options);
+  Status built = core::AddStandardGraph(&df, graph, &blocking, &matcher);
+  ERLB_CHECK(built.ok()) << built.ToString();
   core::PartitionedEntities input;
-  input.partitions =
-      er::SplitIntoPartitions(*entities, pipeline_config.num_map_tasks);
-  ERLB_CHECK(df->AddInput(core::kDatasetPartitions,
-                          core::Dataset(std::move(input)))
+  input.partitions = er::SplitIntoPartitions(*entities, num_map_tasks);
+  ERLB_CHECK(df.AddInput(core::kDatasetPartitions,
+                         core::Dataset(std::move(input)))
                  .ok());
-  auto report = df->Run();
+  auto report = df.Run();
   double seconds = watch.ElapsedSeconds();
   ERLB_CHECK(report.ok()) << report.status().ToString();
 

@@ -8,7 +8,9 @@
 //  * engine: one full JobRunner::Run of a counting job, std::function
 //    JobSpec vs. TypedJobSpec (devirtualized comp/group/part).
 //  * pipeline: end-to-end BlockSplit deduplication on a small product
-//    dataset (real multi-threaded matching), for the trajectory.
+//    dataset (real multi-threaded matching), for the trajectory; the
+//    entry keeps its historical name and runs the standard dataflow
+//    graph (core/stages.h) directly.
 //
 // `--json <path>` writes the results as BENCH_*.json (see bench_json.h).
 #include <cmath>
@@ -23,7 +25,8 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "core/pipeline.h"
+#include "core/dataflow.h"
+#include "core/stages.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
 #include "gen/product_gen.h"
@@ -263,17 +266,22 @@ void BenchPipeline(bench::MicroBench* mb) {
 
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
-  core::ErPipelineConfig pipe_cfg;
-  pipe_cfg.strategy = lb::StrategyKind::kBlockSplit;
-  pipe_cfg.num_map_tasks = 4;
-  pipe_cfg.num_reduce_tasks = 16;
-  pipe_cfg.num_workers = 4;
-  core::ErPipeline pipeline(pipe_cfg);
+  core::DataflowOptions options;
+  options.num_workers = 4;
+  core::StandardGraphOptions graph;
+  graph.strategy = lb::StrategyKind::kBlockSplit;
+  graph.num_reduce_tasks = 16;
 
+  // The standard graph run directly: source (m=4) -> BDM -> plan -> match.
   mb->Run("pipeline/blocksplit_e2e", [&] {
-    auto result = pipeline.Deduplicate(entities, blocking, matcher);
-    ERLB_CHECK(result.ok());
-    g_sink = g_sink + static_cast<uint64_t>(result->comparisons);
+    core::Dataflow df(options);
+    df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                        &entities, 4);
+    ERLB_CHECK(
+        core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
+    auto report = df.Run();
+    ERLB_CHECK(report.ok());
+    g_sink = g_sink + static_cast<uint64_t>(report->TotalComparisons());
   });
 }
 

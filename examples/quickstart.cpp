@@ -4,10 +4,12 @@
 //   $ ./quickstart
 //
 // Walks through the library's core API: entities, a blocking function, a
-// matcher, the pipeline, and the match result.
+// matcher, the dataflow graph that runs the two jobs, and the match
+// result.
 #include <cstdio>
 
-#include "core/pipeline.h"
+#include "core/dataflow.h"
+#include "core/stages.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
 
@@ -39,30 +41,36 @@ int main() {
   // 3. Matching: normalized edit distance >= 0.8 (the paper's matcher).
   er::EditDistanceMatcher matcher(/*threshold=*/0.8);
 
-  // 4. Configure the MR pipeline: m map tasks, r reduce tasks, and the
-  //    BlockSplit load balancing strategy (PairRange and Basic are the
-  //    alternatives).
-  core::ErPipeline pipeline =
-      core::ErPipelineBuilder()
-          .Strategy(lb::StrategyKind::kBlockSplit)
-          .MapTasks(2)
-          .ReduceTasks(4)
-          .Build();
+  // 4. Build the workflow graph: a source splitting the catalog into m=2
+  //    map partitions, then the standard chain with r=4 reduce tasks and
+  //    the BlockSplit load balancing strategy (PairRange and Basic are
+  //    the alternatives).
+  core::Dataflow df;
+  df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                      &catalog, /*num_partitions=*/2);
+  core::StandardGraphOptions graph;
+  graph.strategy = lb::StrategyKind::kBlockSplit;
+  graph.num_reduce_tasks = 4;
+  Status status = core::AddStandardGraph(&df, graph, &blocking, &matcher);
 
   // 5. Run: Job 1 computes the block distribution matrix (BDM), Job 2
-  //    redistributes and matches.
-  auto result = pipeline.Deduplicate(catalog, blocking, matcher);
-  if (!result.ok()) {
+  //    redistributes and matches. The run report holds per-stage
+  //    metrics; the graph holds the datasets each stage produced.
+  auto report = status.ok() ? df.Run() : status;
+  if (!report.ok()) {
     std::fprintf(stderr, "pipeline failed: %s\n",
-                 result.status().ToString().c_str());
+                 report.status().ToString().c_str());
     return 1;
   }
+  auto bdm = df.Get<bdm::Bdm>(core::kDatasetBdm);
+  auto matches = df.Get<er::MatchResult>(core::kDatasetMatches);
+  if (!bdm.ok() || !matches.ok()) return 1;
 
   std::printf("blocks: %u   candidate pairs compared: %lld\n",
-              result->bdm.num_blocks(),
-              static_cast<long long>(result->comparisons));
-  std::printf("matches found: %zu\n", result->matches.size());
-  for (const auto& pair : result->matches.pairs()) {
+              (*bdm)->num_blocks(),
+              static_cast<long long>(report->TotalComparisons()));
+  std::printf("matches found: %zu\n", (*matches)->size());
+  for (const auto& pair : (*matches)->pairs()) {
     std::printf("  %llu <-> %llu\n",
                 static_cast<unsigned long long>(pair.first),
                 static_cast<unsigned long long>(pair.second));

@@ -56,10 +56,10 @@ int main(int argc, char** argv) {
   core::TextTable table;
   table.SetHeader({"strategy", "max pairs/task", "mean pairs/task",
                    "imbalance", "map KV pairs", "sim total s"});
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     lb::MatchJobOptions options;
     options.num_reduce_tasks = r;
-    auto plan = lb::MakeStrategy(kind)->Plan(*bdm, options);
+    auto plan = lb::MakeStrategy(kind)->BuildPlan(*bdm, options);
     if (!plan.ok()) return 1;
     sim::ClusterConfig cluster;
     cluster.num_nodes = nodes;
@@ -67,12 +67,12 @@ int main(int argc, char** argv) {
     auto projected = sim::SimulateEr(kind, *bdm, r, cluster, cost);
     if (!projected.ok()) return 1;
     double mean =
-        static_cast<double>(plan->total_comparisons) / r;
-    table.AddRow({lb::StrategyName(kind),
-                  FormatWithCommas(plan->MaxReduceComparisons()),
+        static_cast<double>(plan->stats().total_comparisons) / r;
+    table.AddRow({lb::StrategyKindToName(kind),
+                  FormatWithCommas(plan->stats().MaxReduceComparisons()),
                   FormatWithCommas(static_cast<uint64_t>(mean)),
-                  FormatDouble(plan->ReduceImbalance(), 2) + "x",
-                  FormatWithCommas(plan->TotalMapOutputPairs()),
+                  FormatDouble(plan->stats().ReduceImbalance(), 2) + "x",
+                  FormatWithCommas(plan->stats().TotalMapOutputPairs()),
                   FormatDouble(projected->total_s, 1)});
   }
   table.Print();

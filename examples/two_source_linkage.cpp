@@ -9,7 +9,8 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
-#include "core/pipeline.h"
+#include "core/dataflow.h"
+#include "core/stages.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
 #include "gen/perturb.h"
@@ -54,30 +55,45 @@ int main() {
 
   for (auto kind :
        {lb::StrategyKind::kBlockSplit, lb::StrategyKind::kPairRange}) {
-    core::ErPipelineConfig cfg;
-    cfg.strategy = kind;
-    cfg.num_map_tasks = 6;
-    cfg.num_reduce_tasks = 12;
-    core::ErPipeline pipeline(cfg);
+    core::StandardGraphOptions graph;
+    graph.strategy = kind;
+    graph.num_reduce_tasks = 12;
+    const uint32_t num_map_tasks = 6;
 
-    // Plain linkage ignores S entities without a key...
-    auto plain = pipeline.Link(*catalog, offers, blocking, matcher);
-    if (!plain.ok()) {
+    // Plain linkage — R and S laid out as two-source partitions and run
+    // through the standard graph — cannot place S entities without a
+    // key...
+    auto input = core::LinkagePartitions(*catalog, offers, num_map_tasks);
+    if (!input.ok()) return 1;
+    core::Dataflow plain;
+    Status plain_status = plain.AddInput(core::kDatasetPartitions,
+                                         core::Dataset(std::move(*input)));
+    if (plain_status.ok()) {
+      plain_status =
+          core::AddStandardGraph(&plain, graph, &blocking, &matcher);
+    }
+    if (plain_status.ok()) plain_status = plain.Run().status();
+    if (!plain_status.ok()) {
       // ...and fails under the default missing-key policy, as it should:
-      std::printf("%s, plain Link(): %s\n", lb::StrategyName(kind),
-                  plain.status().ToString().c_str());
+      std::printf("%s, plain linkage: %s\n", lb::StrategyKindToName(kind),
+                  plain_status.ToString().c_str());
     }
 
     // The appendix decomposition handles them via the constant key ⊥.
-    auto full = core::LinkWithMissingKeys(pipeline, *catalog, offers,
-                                          blocking, matcher);
-    if (!full.ok()) {
-      std::fprintf(stderr, "%s\n", full.status().ToString().c_str());
+    core::Dataflow full;
+    Status full_status = core::AddMissingKeyLinkGraph(
+        &full, graph, num_map_tasks, *catalog, offers, &blocking, &matcher);
+    if (full_status.ok()) full_status = full.Run().status();
+    auto linked = full_status.ok()
+                      ? full.Get<er::MatchResult>(core::kDatasetMatches)
+                      : full_status;
+    if (!linked.ok()) {
+      std::fprintf(stderr, "%s\n", linked.status().ToString().c_str());
       return 1;
     }
     std::printf("%s with missing-key decomposition: %s linked pairs\n\n",
-                lb::StrategyName(kind),
-                FormatWithCommas(full->size()).c_str());
+                lb::StrategyKindToName(kind),
+                FormatWithCommas((*linked)->size()).c_str());
   }
   return 0;
 }

@@ -167,20 +167,24 @@ Result<DataflowReport> Dataflow::Run() {
   ERLB_ASSIGN_OR_RETURN(std::vector<Stage*> order, ExecutionOrder());
   ran_ = true;
 
+  mr::ExecutionOptions execution = options_.execution;
+  if (execution.mode == mr::ExecutionMode::kMultiProcess &&
+      execution.num_worker_processes == 0) {
+    // Zero worker processes means "as many processes as worker threads";
+    // resolve it here because JobRunner::Run rejects the ambiguous zero
+    // outright.
+    execution.num_worker_processes =
+        static_cast<uint32_t>(options_.EffectiveWorkers());
+  }
+  // Reject contradictory knobs before any stage runs — an invalid buffer
+  // size must not surface only after a full CSV ingest.
+  ERLB_RETURN_NOT_OK(execution.Validate());
+
   // The graph-owned execution resources, scoped to this Run: one pool
   // for every MR stage and one spill root under which each external job
   // scopes its own directory — removed (with any stragglers) on every
   // exit path below, since all spill files live inside it.
   ThreadPool pool(options_.EffectiveWorkers());
-  mr::ExecutionOptions execution = options_.execution;
-  if (execution.mode == mr::ExecutionMode::kMultiProcess &&
-      execution.num_worker_processes == 0) {
-    // The WorkerProcesses(0) builder shorthand means "as many processes
-    // as worker threads"; resolve it here because JobRunner::Run rejects
-    // the ambiguous zero outright.
-    execution.num_worker_processes =
-        static_cast<uint32_t>(options_.EffectiveWorkers());
-  }
   std::optional<ScopedTempDir> spill_dir;
   if (execution.mode != mr::ExecutionMode::kInMemory) {
     // Reclaim spill roots orphaned by earlier processes that died before

@@ -9,7 +9,7 @@
 // consuming and producing *named datasets* (entity partitions, BDMs,
 // annotated stores, match plans, match results, clusters). New workloads
 // become graph compositions — add a stage, wire a dataset — rather than
-// new ErPipeline entry points.
+// new entry points.
 //
 // The graph owns the shared execution resources that each job previously
 // re-derived per run:
@@ -18,15 +18,17 @@
 //   * one ScopedTempDir under which every external-mode job nests its
 //     spill directory, removed when the run ends.
 //
-// Run() validates the DAG up front (every input produced exactly once,
-// no cycles, no duplicate outputs), executes stages in dependency order,
-// and returns a unified per-stage report — seconds, MR job metrics,
-// spill bytes, comparisons, executed plans — consumable by the cluster
-// simulator, the recommender, and the benches.
+// Run() validates the DAG (every input produced exactly once, no cycles,
+// no duplicate outputs) and the execution options up front, executes
+// stages in dependency order, and returns a unified per-stage report —
+// seconds, MR job metrics, spill bytes, comparisons, executed plans —
+// consumable by the cluster simulator, the recommender, the benches and
+// core/report.h.
 //
-// Concrete stages and the standard/multi-pass graph builders live in
-// core/stages.h; core::ErPipeline remains as a thin adapter that builds
-// and runs the standard graph.
+// Concrete stages and the graph builders (standard chain, serving tail,
+// multi-pass, missing-key decompositions) live in core/stages.h; every
+// workload — CLI, daemon, benches, tests — is one of those graphs run
+// directly.
 #ifndef ERLB_CORE_DATAFLOW_H_
 #define ERLB_CORE_DATAFLOW_H_
 
@@ -234,7 +236,10 @@ class Dataflow {
   /// implicitly; call this to fail fast while composing.
   [[nodiscard]] Status Validate() const;
 
-  /// Executes the graph once: validates, sweeps spill roots orphaned by
+  /// Executes the graph once: validates the graph and
+  /// options().execution (mr::ExecutionOptions::Validate, after resolving
+  /// a zero num_worker_processes to EffectiveWorkers()) — InvalidArgument
+  /// before any stage runs — then sweeps spill roots orphaned by
   /// crashed processes, creates the shared pool and (for spillable
   /// modes) the graph-scoped temp dir (both released when Run returns —
   /// every spill file lives inside it), runs stages in dependency order,

@@ -61,6 +61,18 @@ er::MatchResult ReferenceLink(const std::vector<er::Entity>& r_entities,
   return result;
 }
 
+er::MatchResult ReferenceMultiPassDeduplicate(
+    const std::vector<er::Entity>& entities,
+    const std::vector<const er::BlockingFunction*>& passes,
+    const er::Matcher& matcher) {
+  er::MatchResult all;
+  for (const auto* pass : passes) {
+    all.Merge(ReferenceDeduplicate(entities, *pass, matcher));
+  }
+  all.Canonicalize();
+  return all;
+}
+
 uint64_t ReferencePairCount(const std::vector<er::Entity>& entities,
                             const er::BlockingFunction& blocking) {
   uint64_t pairs = 0;

@@ -6,7 +6,6 @@
 #include "common/json.h"
 #include "common/string_util.h"
 #include "lb/strategy.h"
-#include "mr/counters.h"
 
 namespace erlb {
 namespace core {
@@ -25,7 +24,7 @@ void AppendTaskStats(std::ostringstream* out, const char* label,
     sum_dur += t.duration_nanos;
   }
   double avg_ms = sum_dur / 1e6 / tasks.size();
-  *out << "  " << label << ": " << tasks.size() << " tasks, "
+  *out << "    " << label << ": " << tasks.size() << " tasks, "
        << FormatWithCommas(total_in) << " records in, "
        << FormatWithCommas(total_out) << " out, avg "
        << FormatDouble(avg_ms, 2) << " ms/task, max "
@@ -36,52 +35,6 @@ void AppendTaskStats(std::ostringstream* out, const char* label,
 }
 
 }  // namespace
-
-std::string FormatRunReport(const ErPipelineResult& result,
-                            const ErPipelineConfig& config) {
-  std::ostringstream out;
-  out << "=== ER pipeline run: " << lb::StrategyKindToName(config.strategy)
-      << " (m=" << config.num_map_tasks << ", r=" << config.num_reduce_tasks
-      << ", workers=" << config.EffectiveWorkers() << ") ===\n";
-
-  if (config.strategy != lb::StrategyKind::kBasic) {
-    out << "Job 1 (BDM): " << FormatDouble(result.bdm_seconds * 1000, 1)
-        << " ms, " << result.bdm.num_blocks() << " blocks, "
-        << FormatWithCommas(result.bdm.TotalPairs())
-        << " candidate pairs\n";
-    AppendTaskStats(&out, "map", result.bdm_metrics.map_tasks);
-    AppendTaskStats(&out, "reduce", result.bdm_metrics.reduce_tasks);
-  }
-
-  out << "Job 2 (matching): "
-      << FormatDouble(result.match_seconds * 1000, 1) << " ms\n";
-  AppendTaskStats(&out, "map", result.match_metrics.map_tasks);
-  AppendTaskStats(&out, "reduce", result.match_metrics.reduce_tasks);
-
-  out << "Comparisons: " << FormatWithCommas(result.comparisons)
-      << ", matches: " << FormatWithCommas(result.matches.size()) << "\n";
-  if (result.skipped_entities > 0) {
-    out << "Skipped entities (no blocking key): "
-        << FormatWithCommas(result.skipped_entities) << "\n";
-  }
-  int64_t kv =
-      result.match_metrics.counters.Get(mr::kCounterMapOutputPairs);
-  out << "Map output pairs (matching job): " << FormatWithCommas(kv)
-      << "\n";
-  out << "Total: " << FormatDouble(result.total_seconds * 1000, 1)
-      << " ms\n";
-  return out.str();
-}
-
-std::string FormatRunSummary(const ErPipelineResult& result,
-                             const ErPipelineConfig& config) {
-  std::ostringstream out;
-  out << lb::StrategyKindToName(config.strategy) << ": "
-      << FormatWithCommas(result.comparisons) << " comparisons -> "
-      << FormatWithCommas(result.matches.size()) << " matches in "
-      << FormatDouble(result.total_seconds, 3) << " s";
-  return out.str();
-}
 
 std::string FormatDataflowReport(const DataflowReport& report) {
   std::ostringstream out;
@@ -126,6 +79,10 @@ std::string FormatDataflowReport(const DataflowReport& report) {
       out << ", plan " << lb::StrategyKindToName(s.plan->strategy());
     }
     out << "\n";
+    if (s.job.has_value()) {
+      AppendTaskStats(&out, "map", s.job->map_tasks);
+      AppendTaskStats(&out, "reduce", s.job->reduce_tasks);
+    }
   }
   if (int64_t spilled = report.TotalSpillBytes(); spilled > 0) {
     out << "Total spilled: " << FormatWithCommas(spilled) << " B\n";

@@ -1,28 +1,22 @@
-// Human-readable run reports: summarizes an ErPipelineResult (jobs,
-// phases, workload distribution, counters) the way one would read a
-// Hadoop job history page, plus the per-stage view of a Dataflow run and
-// its machine-readable JSON form.
+// Human-readable and JSON renderings of a Dataflow run's per-stage
+// report — per stage: kind, seconds, records, job shape, spill, plan
+// strategy, and per-phase task statistics read the way one would read a
+// Hadoop job history page.
 #ifndef ERLB_CORE_REPORT_H_
 #define ERLB_CORE_REPORT_H_
 
 #include <string>
 
 #include "core/dataflow.h"
-#include "core/pipeline.h"
 
 namespace erlb {
 namespace core {
 
-/// Formats a multi-line report of one pipeline run.
-std::string FormatRunReport(const ErPipelineResult& result,
-                            const ErPipelineConfig& config);
-
-/// One-line summary (strategy, comparisons, matches, seconds).
-std::string FormatRunSummary(const ErPipelineResult& result,
-                             const ErPipelineConfig& config);
-
 /// Formats the unified per-stage report of one Dataflow::Run — one line
-/// per stage (kind, seconds, records, job shape, spill, plan strategy).
+/// per stage (kind, seconds, records, job shape, spill, plan strategy),
+/// followed, for every stage that ran an MR job, by one line per phase:
+/// task count, records in and out, average and max ms per task, and the
+/// straggler ratio (max / average).
 std::string FormatDataflowReport(const DataflowReport& report);
 
 /// The same report as a JSON document (strategy names via

@@ -1,5 +1,6 @@
 #include "core/stages.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -274,6 +275,35 @@ Status UnionMatchesStage::Run(DataflowContext* ctx) {
 
 // ---- Graph builders -------------------------------------------------------
 
+Result<PartitionedEntities> LinkagePartitions(
+    const std::vector<er::Entity>& r_entities,
+    const std::vector<er::Entity>& s_entities, uint32_t num_map_tasks) {
+  if (r_entities.empty() || s_entities.empty()) {
+    return Status::InvalidArgument("both sources must be non-empty");
+  }
+  // Proportional split of m between the sources, at least one each.
+  const uint32_t m = std::max(num_map_tasks, 2u);
+  const double nr = static_cast<double>(r_entities.size());
+  const double total = nr + static_cast<double>(s_entities.size());
+  const uint32_t r_tasks = std::clamp<uint32_t>(
+      static_cast<uint32_t>(m * (nr / total) + 0.5), 1, m - 1);
+  const uint32_t s_tasks = m - r_tasks;
+
+  std::vector<er::Entity> tagged_r = r_entities;
+  for (auto& e : tagged_r) e.source = er::Source::kR;
+  std::vector<er::Entity> tagged_s = s_entities;
+  for (auto& e : tagged_s) e.source = er::Source::kS;
+
+  PartitionedEntities out;
+  out.partitions = er::SplitIntoPartitions(tagged_r, r_tasks);
+  out.sources.assign(r_tasks, er::Source::kR);
+  for (auto& p : er::SplitIntoPartitions(tagged_s, s_tasks)) {
+    out.partitions.push_back(std::move(p));
+    out.sources.push_back(er::Source::kS);
+  }
+  return out;
+}
+
 Status AddStandardGraph(Dataflow* df, const StandardGraphOptions& options,
                         const er::BlockingFunction* blocking,
                         const er::Matcher* matcher,
@@ -431,6 +461,142 @@ Status AddMultiPassGraph(Dataflow* df, const StandardGraphOptions& options,
   }
   df->Emplace<UnionMatchesStage>(name_prefix + "union",
                                  std::move(pass_outputs), out_matches);
+  return Status::OK();
+}
+
+namespace {
+
+/// Splits `entities` into (with-key, without-key) under `blocking`.
+void SplitByKeyValidity(const std::vector<er::Entity>& entities,
+                        const er::BlockingFunction& blocking,
+                        std::vector<er::Entity>* with_key,
+                        std::vector<er::Entity>* without_key) {
+  for (const auto& e : entities) {
+    if (blocking.Key(e).empty()) {
+      without_key->push_back(e);
+    } else {
+      with_key->push_back(e);
+    }
+  }
+}
+
+/// Composes the terms of a missing-key decomposition: one standard
+/// subgraph per (name, input, blocking) term, joined by a union stage.
+class MissingKeyComposer {
+ public:
+  MissingKeyComposer(Dataflow* df, const StandardGraphOptions& options,
+                     const er::Matcher* matcher, std::string name_prefix)
+      : df_(df),
+        options_(options),
+        matcher_(matcher),
+        name_prefix_(std::move(name_prefix)),
+        bottom_(df->Own(std::make_unique<er::ConstantBlocking>())) {}
+
+  /// The constant key ⊥: a Cartesian product within the term.
+  const er::BlockingFunction* bottom() const { return bottom_; }
+
+  [[nodiscard]] Status AddTerm(const char* term, PartitionedEntities input,
+                               const er::BlockingFunction* blocking) {
+    const std::string prefix = name_prefix_ + term + "/";
+    ERLB_RETURN_NOT_OK(df_->AddInput(prefix + kDatasetPartitions,
+                                     Dataset(std::move(input))));
+    ERLB_RETURN_NOT_OK(
+        AddStandardGraph(df_, options_, blocking, matcher_, prefix));
+    term_outputs_.push_back(prefix + kDatasetMatches);
+    return Status::OK();
+  }
+
+  void Finish(const std::string& out_matches) {
+    df_->Emplace<UnionMatchesStage>(name_prefix_ + "union",
+                                    std::move(term_outputs_), out_matches);
+  }
+
+ private:
+  Dataflow* df_;
+  const StandardGraphOptions& options_;
+  const er::Matcher* matcher_;
+  std::string name_prefix_;
+  const er::BlockingFunction* bottom_;
+  std::vector<std::string> term_outputs_;
+};
+
+PartitionedEntities OneSource(const std::vector<er::Entity>& entities,
+                              uint32_t num_map_tasks) {
+  PartitionedEntities out;
+  out.partitions = er::SplitIntoPartitions(entities, num_map_tasks);
+  return out;
+}
+
+}  // namespace
+
+Status AddMissingKeyDedupGraph(Dataflow* df,
+                               const StandardGraphOptions& options,
+                               uint32_t num_map_tasks,
+                               const std::vector<er::Entity>& entities,
+                               const er::BlockingFunction* blocking,
+                               const er::Matcher* matcher,
+                               const std::string& out_matches,
+                               const std::string& name_prefix) {
+  if (num_map_tasks == 0) {
+    return Status::InvalidArgument("num_map_tasks must be >= 1");
+  }
+  std::vector<er::Entity> keyed, unkeyed;
+  SplitByKeyValidity(entities, *blocking, &keyed, &unkeyed);
+
+  MissingKeyComposer composer(df, options, matcher, name_prefix);
+  if (!keyed.empty()) {
+    // match_B(R−R∅)
+    ERLB_RETURN_NOT_OK(composer.AddTerm(
+        "keyed", OneSource(keyed, num_map_tasks), blocking));
+  }
+  if (!keyed.empty() && !unkeyed.empty()) {
+    // match_⊥(R−R∅, R∅)
+    ERLB_ASSIGN_OR_RETURN(PartitionedEntities cross,
+                          LinkagePartitions(keyed, unkeyed, num_map_tasks));
+    ERLB_RETURN_NOT_OK(composer.AddTerm("keyed_x_unkeyed", std::move(cross),
+                                        composer.bottom()));
+  }
+  if (unkeyed.size() >= 2) {
+    // match_⊥(R∅)
+    ERLB_RETURN_NOT_OK(composer.AddTerm(
+        "unkeyed", OneSource(unkeyed, num_map_tasks), composer.bottom()));
+  }
+  composer.Finish(out_matches);
+  return Status::OK();
+}
+
+Status AddMissingKeyLinkGraph(Dataflow* df,
+                              const StandardGraphOptions& options,
+                              uint32_t num_map_tasks,
+                              const std::vector<er::Entity>& r_entities,
+                              const std::vector<er::Entity>& s_entities,
+                              const er::BlockingFunction* blocking,
+                              const er::Matcher* matcher,
+                              const std::string& out_matches,
+                              const std::string& name_prefix) {
+  std::vector<er::Entity> r_keyed, r_unkeyed, s_keyed, s_unkeyed;
+  SplitByKeyValidity(r_entities, *blocking, &r_keyed, &r_unkeyed);
+  SplitByKeyValidity(s_entities, *blocking, &s_keyed, &s_unkeyed);
+
+  MissingKeyComposer composer(df, options, matcher, name_prefix);
+  auto add_linkage = [&](const char* term, const std::vector<er::Entity>& r,
+                         const std::vector<er::Entity>& s,
+                         const er::BlockingFunction* term_blocking)
+      -> Status {
+    if (r.empty() || s.empty()) return Status::OK();
+    ERLB_ASSIGN_OR_RETURN(PartitionedEntities input,
+                          LinkagePartitions(r, s, num_map_tasks));
+    return composer.AddTerm(term, std::move(input), term_blocking);
+  };
+  // match_B(R−R∅, S−S∅)
+  ERLB_RETURN_NOT_OK(add_linkage("keyed", r_keyed, s_keyed, blocking));
+  // match_⊥(R, S∅)
+  ERLB_RETURN_NOT_OK(add_linkage("r_x_unkeyed_s", r_entities, s_unkeyed,
+                                 composer.bottom()));
+  // match_⊥(R∅, S−S∅)
+  ERLB_RETURN_NOT_OK(add_linkage("unkeyed_r_x_keyed_s", r_unkeyed, s_keyed,
+                                 composer.bottom()));
+  composer.Finish(out_matches);
   return Status::OK();
 }
 

@@ -13,6 +13,16 @@
 //     per-pass standard subgraphs ("pass<i>/…") feeding one union stage —
 //     replacing the former bespoke entity-replication path.
 //
+//   * AddMissingKeyDedupGraph / AddMissingKeyLinkGraph: the missing-key
+//     decompositions of Section III and Appendix I, composed the same
+//     way — one standard subgraph per term, joined by a union stage.
+//
+// A caller runs a workload by building a Dataflow from DataflowOptions,
+// adding a source (a source stage, or AddInput of a PartitionedEntities
+// such as LinkagePartitions returns), composing one of the graphs above
+// with StandardGraphOptions, and reading kDatasetMatches plus the
+// per-stage report after Run().
+//
 // Blocking functions and matchers are taken by pointer and not owned;
 // they must outlive Dataflow::Run(). Helper objects a builder creates
 // (pass filters, suppressing matchers) are owned by the graph via
@@ -27,6 +37,7 @@
 #include <vector>
 
 #include "bdm/bdm_job.h"
+#include "common/result.h"
 #include "core/dataflow.h"
 #include "er/blocking.h"
 #include "er/entity.h"
@@ -215,6 +226,15 @@ struct StandardGraphOptions {
   }
 };
 
+/// The two-source input layout of Appendix I (Hadoop's MultipleInputs):
+/// tags every entity of `r_entities` as Source::kR and of `s_entities` as
+/// Source::kS, and splits max(num_map_tasks, 2) map partitions between
+/// the sources proportionally to their sizes (at least one each), R's
+/// partitions first. InvalidArgument if either source is empty.
+[[nodiscard]] Result<PartitionedEntities> LinkagePartitions(
+    const std::vector<er::Entity>& r_entities,
+    const std::vector<er::Entity>& s_entities, uint32_t num_map_tasks);
+
 /// Composes the standard two-job chain into `df`, reading
 /// `dataset_prefix + kDatasetPartitions` (which the caller supplies via
 /// AddInput or a source stage) and producing `prefix + kDatasetMatches`.
@@ -262,6 +282,36 @@ struct StandardGraphOptions {
                          std::atomic<int64_t>* suppressed,
                          const std::string& out_matches = kDatasetMatches,
                          const std::string& name_prefix = "");
+
+/// Section III: deduplication when some entities lack a blocking key,
+///   match_B(R) = match_B(R−R∅) ∪ match_⊥(R−R∅, R∅) ∪ match_⊥(R∅),
+/// where ⊥ is the constant key — entities without a key are compared
+/// against everything. Each non-empty term becomes a standard subgraph
+/// ("<name_prefix>keyed/…", "<name_prefix>keyed_x_unkeyed/…",
+/// "<name_prefix>unkeyed/…") over `num_map_tasks` partitions, joined by
+/// one union stage ("<name_prefix>union") producing `out_matches`. The
+/// entities are split and copied while composing, so `entities` need not
+/// outlive the call; `blocking` and `matcher` must outlive Run().
+[[nodiscard]] Status AddMissingKeyDedupGraph(
+    Dataflow* df, const StandardGraphOptions& options,
+    uint32_t num_map_tasks, const std::vector<er::Entity>& entities,
+    const er::BlockingFunction* blocking, const er::Matcher* matcher,
+    const std::string& out_matches = kDatasetMatches,
+    const std::string& name_prefix = "");
+
+/// Appendix I: linkage when some entities lack a blocking key,
+///   match_B(R,S) = match_B(R−R∅, S−S∅) ∪ match_⊥(R, S∅)
+///                  ∪ match_⊥(R∅, S−S∅),
+/// composed like AddMissingKeyDedupGraph with one two-source subgraph
+/// (LinkagePartitions) per non-empty term ("<name_prefix>keyed/…",
+/// "<name_prefix>r_x_unkeyed_s/…", "<name_prefix>unkeyed_r_x_keyed_s/…").
+[[nodiscard]] Status AddMissingKeyLinkGraph(
+    Dataflow* df, const StandardGraphOptions& options,
+    uint32_t num_map_tasks, const std::vector<er::Entity>& r_entities,
+    const std::vector<er::Entity>& s_entities,
+    const er::BlockingFunction* blocking, const er::Matcher* matcher,
+    const std::string& out_matches = kDatasetMatches,
+    const std::string& name_prefix = "");
 
 }  // namespace core
 }  // namespace erlb

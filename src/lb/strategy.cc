@@ -56,12 +56,6 @@ Result<MatchJobOutput> Strategy::RunMatchJob(
   return ExecutePlan(plan, input, bdm, matcher, runner);
 }
 
-Result<PlanStats> Strategy::Plan(const bdm::Bdm& bdm,
-                                 const MatchJobOptions& options) const {
-  ERLB_ASSIGN_OR_RETURN(MatchPlan plan, BuildPlan(bdm, options));
-  return plan.stats();
-}
-
 std::unique_ptr<Strategy> MakeStrategy(StrategyKind kind) {
   switch (kind) {
     case StrategyKind::kBasic:
@@ -90,8 +84,6 @@ std::string JoinStrategyKindNames(std::string_view sep) {
   }
   return out;
 }
-
-std::vector<StrategyKind> AllStrategies() { return AllStrategyKinds(); }
 
 }  // namespace lb
 }  // namespace erlb

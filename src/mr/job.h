@@ -143,10 +143,10 @@ struct ExecutionOptions {
   /// the file store checkpoint; the in-memory fast path is unaffected.
   CheckpointOptions checkpoint;
   /// kMultiProcess: number of worker processes to fork (>= 1). Leaving
-  /// this 0 in multi-process mode is an InvalidArgument at Run() —
-  /// callers that want "as many processes as worker threads" resolve
-  /// that explicitly (core::Dataflow does for the WorkerProcesses(0)
-  /// builder shorthand).
+  /// this 0 in multi-process mode is an InvalidArgument at
+  /// JobRunner::Run() — callers that want "as many processes as worker
+  /// threads" resolve that explicitly (core::Dataflow::Run resolves 0 to
+  /// its worker-thread count).
   uint32_t num_worker_processes = 0;
 
   /// Rejects knob combinations no execution path can honor — zero

@@ -1,15 +1,14 @@
 // The composable dataflow API (core/dataflow.h, core/stages.h).
 //
-// The heart of this file is the legacy differential: ErPipeline's entry
-// points now build and run the standard stage graph, and
-// LegacyRunPartitioned below is a verbatim port of the pre-dataflow
-// two-job pipeline body (one JobRunner, RunBdmJob + BuildPlan +
-// ExecutePlan, or RunBasicSingleJob). The graph-backed pipeline must be
-// byte-identical to it — matches, comparison counters, per-task
+// The heart of this file is the legacy differential: every workload runs
+// the standard stage graph, and LegacyRunPartitioned below is a verbatim
+// port of the pre-dataflow two-job pipeline body (one JobRunner,
+// RunBdmJob + BuildPlan + ExecutePlan, or RunBasicSingleJob). The graph
+// must be byte-identical to it — matches, comparison counters, per-task
 // metrics, serialized MatchPlan — for all three strategies, one- and
 // two-source, in-memory and external. Plus structural tests of the
-// graph itself: validation errors, typed dataset access, report
-// contents, cluster/union stages, CSV sources.
+// graph itself: validation errors (graph and options), typed dataset
+// access, report contents, cluster/union stages, CSV sources.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,7 +19,6 @@
 #include "bdm/bdm_job.h"
 #include "common/io_buffer.h"
 #include "core/dataflow.h"
-#include "core/pipeline.h"
 #include "core/report.h"
 #include "core/stages.h"
 #include "er/blocking.h"
@@ -28,12 +26,17 @@
 #include "er/entity_io.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
+#include "graph_test_util.h"
 #include "lb/basic.h"
 #include "lb/plan_io.h"
 #include "lb/strategy.h"
 
 namespace erlb {
 namespace {
+
+using testing_util::GraphRun;
+using testing_util::OneSource;
+using testing_util::RunStandardGraph;
 
 std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1200) {
   gen::SkewConfig config;
@@ -46,6 +49,14 @@ std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1200) {
   EXPECT_TRUE(data.ok());
   return std::move(data).ValueOrDie();
 }
+
+/// Both option sets of a standard-graph run in one value: the legacy
+/// body below reads every knob from one config, the graph takes each
+/// base as its own options.
+struct GraphConfig : core::DataflowOptions, core::StandardGraphOptions {
+  uint32_t num_map_tasks = 4;
+  uint32_t csv_split_records = 8192;
+};
 
 // ---- Legacy pipeline body (pre-dataflow), ported verbatim ---------------
 
@@ -60,7 +71,7 @@ struct LegacyResult {
 };
 
 Result<LegacyResult> LegacyRunPartitioned(
-    const core::ErPipelineConfig& config, const er::Partitions& partitions,
+    const GraphConfig& config, const er::Partitions& partitions,
     const std::vector<er::Source>* partition_sources,
     const er::BlockingFunction& blocking, const er::Matcher& matcher,
     const lb::MatchPlan* prebuilt_plan = nullptr) {
@@ -143,20 +154,21 @@ void ExpectTaskMetricsEqual(const mr::JobMetrics& a,
   EXPECT_EQ(a.counters.values(), b.counters.values());
 }
 
-/// Byte-level equality between the graph-backed pipeline result and the
-/// legacy two-job body.
-void ExpectMatchesLegacy(const core::ErPipelineResult& graph,
-                         const LegacyResult& legacy) {
+/// Byte-level equality between the graph run and the legacy two-job
+/// body.
+void ExpectMatchesLegacy(const GraphRun& graph, const LegacyResult& legacy) {
   // Identical matches, in identical order (same ExecutePlan, same task
   // order — not just the same set).
   EXPECT_EQ(graph.matches.pairs(), legacy.matches.pairs());
-  EXPECT_EQ(graph.comparisons, legacy.comparisons);
-  EXPECT_EQ(graph.skipped_entities, legacy.skipped_entities);
-  ExpectTaskMetricsEqual(graph.match_metrics, legacy.match_metrics);
-  ExpectTaskMetricsEqual(graph.bdm_metrics, legacy.bdm_metrics);
-  ASSERT_EQ(graph.plan.has_value(), legacy.plan.has_value());
-  if (graph.plan.has_value()) {
-    EXPECT_EQ(lb::MatchPlanToJson(*graph.plan),
+  EXPECT_EQ(graph.comparisons(), legacy.comparisons);
+  const core::StageReport* bdm_stage = graph.report.Find("bdm");
+  EXPECT_EQ(bdm_stage != nullptr ? bdm_stage->skipped_entities : 0,
+            legacy.skipped_entities);
+  ExpectTaskMetricsEqual(graph.job("match"), legacy.match_metrics);
+  ExpectTaskMetricsEqual(graph.job("bdm"), legacy.bdm_metrics);
+  ASSERT_EQ(graph.plan() != nullptr, legacy.plan.has_value());
+  if (graph.plan() != nullptr) {
+    EXPECT_EQ(lb::MatchPlanToJson(*graph.plan()),
               lb::MatchPlanToJson(*legacy.plan));
   }
   ASSERT_EQ(graph.bdm.num_blocks(), legacy.bdm.num_blocks());
@@ -169,8 +181,8 @@ class DataflowDifferentialTest
     : public ::testing::TestWithParam<
           std::tuple<lb::StrategyKind, mr::ExecutionMode>> {
  protected:
-  core::ErPipelineConfig Config() const {
-    core::ErPipelineConfig config;
+  GraphConfig Config() const {
+    GraphConfig config;
     config.strategy = std::get<0>(GetParam());
     config.num_map_tasks = 4;
     config.num_reduce_tasks = 7;
@@ -185,7 +197,7 @@ TEST_P(DataflowDifferentialTest, OneSourceMatchesLegacyByteForByte) {
   auto entities = SkewedDataset(11);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  core::ErPipelineConfig config = Config();
+  GraphConfig config = Config();
 
   er::Partitions parts =
       er::SplitIntoPartitions(entities, config.num_map_tasks);
@@ -193,14 +205,15 @@ TEST_P(DataflowDifferentialTest, OneSourceMatchesLegacyByteForByte) {
       LegacyRunPartitioned(config, parts, nullptr, blocking, matcher);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
-  core::ErPipeline pipeline(config);
-  auto graph = pipeline.Deduplicate(entities, blocking, matcher);
+  auto graph = RunStandardGraph(config, config,
+                                OneSource(entities, config.num_map_tasks),
+                                blocking, matcher);
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
   EXPECT_GT(graph->matches.size(), 0u);
   ExpectMatchesLegacy(*graph, *legacy);
   if (config.execution.mode == mr::ExecutionMode::kExternal) {
-    EXPECT_TRUE(graph->match_metrics.external);
-    EXPECT_GT(graph->match_metrics.spill_bytes_written, 0);
+    EXPECT_TRUE(graph->job("match").external);
+    EXPECT_GT(graph->job("match").spill_bytes_written, 0);
   }
 }
 
@@ -209,9 +222,9 @@ TEST_P(DataflowDifferentialTest, TwoSourceMatchesLegacyByteForByte) {
   auto s_entities = SkewedDataset(22, 500);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  core::ErPipelineConfig config = Config();
+  GraphConfig config = Config();
 
-  // Replicate Link's partition layout for the legacy run.
+  // Replicate LinkagePartitions' layout for the legacy run.
   std::vector<er::Entity> tagged_r = r_entities;
   for (auto& e : tagged_r) e.source = er::Source::kR;
   std::vector<er::Entity> tagged_s = s_entities;
@@ -228,8 +241,11 @@ TEST_P(DataflowDifferentialTest, TwoSourceMatchesLegacyByteForByte) {
       LegacyRunPartitioned(config, parts, &sources, blocking, matcher);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
-  core::ErPipeline pipeline(config);
-  auto graph = pipeline.Link(r_entities, s_entities, blocking, matcher);
+  auto input =
+      core::LinkagePartitions(r_entities, s_entities, config.num_map_tasks);
+  ASSERT_TRUE(input.ok()) << input.status().ToString();
+  auto graph =
+      RunStandardGraph(config, config, std::move(*input), blocking, matcher);
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
   EXPECT_GT(graph->matches.size(), 0u);
   ExpectMatchesLegacy(*graph, *legacy);
@@ -239,7 +255,7 @@ TEST_P(DataflowDifferentialTest, PrebuiltPlanMatchesLegacyByteForByte) {
   auto entities = SkewedDataset(31, 800);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  core::ErPipelineConfig config = Config();
+  GraphConfig config = Config();
   er::Partitions parts =
       er::SplitIntoPartitions(entities, config.num_map_tasks);
 
@@ -258,12 +274,13 @@ TEST_P(DataflowDifferentialTest, PrebuiltPlanMatchesLegacyByteForByte) {
   auto legacy = LegacyRunPartitioned(config, parts, nullptr, blocking,
                                      matcher, &*plan);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  core::ErPipeline pipeline(config);
-  auto graph =
-      pipeline.DeduplicatePartitioned(parts, blocking, matcher, *plan);
+  core::PartitionedEntities input;
+  input.partitions = parts;
+  auto graph = RunStandardGraph(config, config, std::move(input), blocking,
+                                matcher, &*plan);
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
   // The caller already holds the plan; neither path returns one.
-  EXPECT_FALSE(graph->plan.has_value());
+  EXPECT_EQ(graph->plan(), nullptr);
   ExpectMatchesLegacy(*graph, *legacy);
 }
 
@@ -284,7 +301,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- CSV source on the graph --------------------------------------------
 
-TEST(DataflowCsvTest, CsvSourceGraphMatchesDeduplicateCsv) {
+TEST(DataflowCsvTest, CsvSourceGraphMatchesVectorInput) {
   auto entities = SkewedDataset(41, 500);
   auto base = ScopedTempDir::Make();
   ASSERT_TRUE(base.ok());
@@ -295,28 +312,33 @@ TEST(DataflowCsvTest, CsvSourceGraphMatchesDeduplicateCsv) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  core::ErPipelineConfig config;
+  GraphConfig config;
   config.num_reduce_tasks = 5;
   config.num_workers = 4;
   config.csv_split_records = 128;
 
   // Hand-composed graph: CsvSourceStage + standard chain.
-  auto df = core::BuildStandardDataflow(config, blocking, matcher);
-  ASSERT_TRUE(df.ok());
-  df->Emplace<core::CsvSourceStage>("source", core::kDatasetPartitions,
-                                    csv_path, schema,
-                                    config.csv_split_records);
-  auto report = df->Run();
+  core::Dataflow df(config);
+  df.Emplace<core::CsvSourceStage>("source", core::kDatasetPartitions,
+                                   csv_path, schema,
+                                   config.csv_split_records);
+  ASSERT_TRUE(core::AddStandardGraph(&df, config, &blocking, &matcher).ok());
+  auto report = df.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  auto matches = df->Get<er::MatchResult>(core::kDatasetMatches);
+  auto matches = df.Get<er::MatchResult>(core::kDatasetMatches);
   ASSERT_TRUE(matches.ok());
 
-  // The adapter entry point over the same file.
-  core::ErPipeline pipeline(config);
-  auto adapter = pipeline.DeduplicateCsv(csv_path, schema, blocking,
-                                         matcher);
-  ASSERT_TRUE(adapter.ok()) << adapter.status().ToString();
-  EXPECT_EQ((*matches)->pairs(), adapter->matches.pairs());
+  // The same graph over the same rows bound in memory, one partition per
+  // csv_split_records rows: the same match set.
+  core::PartitionedEntities input;
+  for (size_t i = 0; i < entities.size(); ++i) {
+    if (i % config.csv_split_records == 0) input.partitions.emplace_back();
+    input.partitions.back().push_back(er::MakeEntityRef(entities[i]));
+  }
+  auto in_memory =
+      RunStandardGraph(config, config, std::move(input), blocking, matcher);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  EXPECT_TRUE((*matches)->SameAs(in_memory->matches));
   EXPECT_GT((*matches)->size(), 0u);
 
   // ceil(500 / 128) = 4 splits; the ingest stage reports the row count.
@@ -407,12 +429,60 @@ TEST(DataflowRunTest, TypedAccessAndMismatch) {
   EXPECT_TRUE(df.Get<er::Clusters>("absent").status().IsInvalidArgument());
 }
 
+/// A source stage that records whether it ran.
+class RecordingStage : public core::Stage {
+ public:
+  explicit RecordingStage(bool* ran) : Stage("record"), ran_(ran) {
+    DeclareOutput("matches");
+  }
+  const char* kind() const override { return "record"; }
+  [[nodiscard]] Status Run(core::DataflowContext* ctx) override {
+    *ran_ = true;
+    return ctx->Out("matches", core::Dataset(TwoPairs()));
+  }
+
+ private:
+  bool* ran_;
+};
+
+TEST(DataflowRunTest, InvalidOptionsFailBeforeAnyStage) {
+  auto run = [](const core::DataflowOptions& options, bool* ran) {
+    core::Dataflow df(options);
+    df.Emplace<RecordingStage>(ran);
+    df.Emplace<core::ClusterStage>("cluster", "matches", "clusters");
+    return df.Run().status();
+  };
+  bool ran = false;
+  core::DataflowOptions options;
+  options.execution.io_buffer_bytes = 0;
+  Status status = run(options, &ran);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.ToString().find("io_buffer_bytes"), std::string::npos);
+  EXPECT_FALSE(ran);
+
+  // A checkpoint root on the in-memory path has nothing durable to
+  // checkpoint.
+  options = core::DataflowOptions{};
+  options.execution.mode = mr::ExecutionMode::kInMemory;
+  options.execution.checkpoint.dir = "/nonexistent/checkpoints";
+  status = run(options, &ran);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_FALSE(ran);
+
+  // Zero worker processes resolves to the worker-thread count, so
+  // multi-process mode without an explicit count is valid.
+  options = core::DataflowOptions{};
+  options.num_workers = 2;
+  options.execution.mode = mr::ExecutionMode::kMultiProcess;
+  EXPECT_TRUE(run(options, &ran).ok());
+  EXPECT_TRUE(ran);
+}
+
 TEST(DataflowRunTest, StageErrorNamesTheStage) {
   core::Dataflow df;
   er::CsvSchema schema;
   df.Emplace<core::CsvSourceStage>("ingest", "partitions",
                                    "/nonexistent/input.csv", schema, 64);
-  core::ErPipelineConfig config;
   // Wire a full graph so the failure really interrupts a multi-stage run.
   er::ConstantBlocking blocking;
   er::JaroWinklerMatcher matcher;
@@ -429,18 +499,18 @@ TEST(DataflowReportTest, StandardGraphReportCarriesPlanAndMetrics) {
   auto entities = SkewedDataset(51, 600);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  core::ErPipelineConfig config;
+  GraphConfig config;
   config.num_reduce_tasks = 5;
   config.num_workers = 2;
   config.execution.mode = mr::ExecutionMode::kExternal;
 
-  auto df = core::BuildStandardDataflow(config, blocking, matcher);
-  ASSERT_TRUE(df.ok());
-  df->Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
-                                       &entities, 3);
-  df->Emplace<core::ClusterStage>("cluster", core::kDatasetMatches,
-                                  core::kDatasetClusters);
-  auto report = df->Run();
+  core::Dataflow df(config);
+  df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                      &entities, 3);
+  ASSERT_TRUE(core::AddStandardGraph(&df, config, &blocking, &matcher).ok());
+  df.Emplace<core::ClusterStage>("cluster", core::kDatasetMatches,
+                                 core::kDatasetClusters);
+  auto report = df.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   // Execution order respects dependencies.
@@ -483,18 +553,19 @@ TEST(DataflowResourceTest, GraphTempDirIsRemovedAfterRun) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  core::ErPipelineConfig config;
+  GraphConfig config;
   config.num_reduce_tasks = 4;
   config.num_workers = 2;
   config.execution.mode = mr::ExecutionMode::kExternal;
   config.execution.temp_dir = base->path();
 
   {
-    auto df = core::BuildStandardDataflow(config, blocking, matcher);
-    ASSERT_TRUE(df.ok());
-    df->Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
-                                         &entities, 3);
-    auto report = df->Run();
+    core::Dataflow df(config);
+    df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                        &entities, 3);
+    ASSERT_TRUE(
+        core::AddStandardGraph(&df, config, &blocking, &matcher).ok());
+    auto report = df.Run();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_GT(report->TotalSpillBytes(), 0);
   }

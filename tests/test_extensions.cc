@@ -3,15 +3,17 @@
 // blocking (the paper's future work), and CSV entity I/O.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 
 #include "common/csv.h"
-#include "core/multi_pass.h"
-#include "core/pipeline.h"
 #include "core/reference.h"
+#include "core/stages.h"
 #include "er/entity_io.h"
 #include "gen/skew_gen.h"
+#include "graph_test_util.h"
 #include "lb/block_split_plan.h"
 #include "paper_example.h"
 #include "strategy_test_util.h"
@@ -23,6 +25,11 @@ using lb::BlockSplitPlan;
 using lb::StrategyKind;
 using testing_util::ExampleBlocking;
 using testing_util::PaperExamplePartitions;
+using testing_util::GraphOptions;
+using testing_util::GraphRun;
+using testing_util::OneSource;
+using testing_util::RunGraph;
+using testing_util::RunStandardGraph;
 using testing_util::RunStrategy;
 
 // ---------------------------------------------------------------------
@@ -133,18 +140,18 @@ TEST_P(SubSplitEquivalenceTest, MatchesReferenceResult) {
   auto run = RunStrategy(StrategyKind::kBlockSplit, parts, blocking,
                          matcher, r, 4, nullptr,
                          lb::TaskAssignment::kGreedyLpt);
-  // Re-run through the pipeline with sub_splits (RunStrategy has no knob).
-  core::ErPipelineConfig pcfg;
-  pcfg.strategy = StrategyKind::kBlockSplit;
-  pcfg.num_map_tasks = 3;
-  pcfg.num_reduce_tasks = r;
-  pcfg.sub_splits = sub;
-  core::ErPipeline pipeline(pcfg);
-  auto result = pipeline.Deduplicate(*entities, blocking, matcher);
+  // Re-run through the standard graph with sub_splits (RunStrategy has
+  // no knob).
+  core::StandardGraphOptions graph;
+  graph.strategy = StrategyKind::kBlockSplit;
+  graph.num_reduce_tasks = r;
+  graph.sub_splits = sub;
+  auto result = RunStandardGraph(core::DataflowOptions{}, graph,
+                                 OneSource(*entities, 3), blocking, matcher);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->matches.SameAs(reference))
       << "sub=" << sub << " r=" << r;
-  EXPECT_EQ(static_cast<uint64_t>(result->comparisons),
+  EXPECT_EQ(static_cast<uint64_t>(result->comparisons()),
             core::ReferencePairCount(*entities, blocking));
   EXPECT_TRUE(run.matches.SameAs(reference));
 }
@@ -202,6 +209,31 @@ er::Entity MakeProduct(uint64_t id, const char* title, const char* manu) {
   return e;
 }
 
+/// One multi-pass run: the composed graph's outputs plus the count of
+/// earlier-pass duplicates the per-pass matchers suppressed.
+struct MultiPassRun {
+  GraphRun graph;
+  int64_t suppressed_duplicates = 0;
+};
+
+Result<MultiPassRun> RunMultiPass(
+    const core::DataflowOptions& options,
+    const core::StandardGraphOptions& graph, uint32_t num_map_tasks,
+    const std::vector<er::Entity>& entities,
+    const std::vector<const er::BlockingFunction*>& passes,
+    const er::Matcher& matcher) {
+  core::Dataflow df(options);
+  std::atomic<int64_t>* suppressed =
+      df.Own(std::make_unique<std::atomic<int64_t>>(0));
+  ERLB_RETURN_NOT_OK(core::AddMultiPassGraph(&df, graph, num_map_tasks,
+                                             &entities, &passes, &matcher,
+                                             suppressed));
+  MultiPassRun run;
+  ERLB_ASSIGN_OR_RETURN(run.graph, RunGraph(&df));
+  run.suppressed_duplicates = suppressed->load();
+  return run;
+}
+
 TEST(MultiPassTest, UnionsPassesAndSuppressesDuplicates) {
   // Pass 0: title prefix; pass 1: manufacturer. Entities 1 and 2 share
   // both; 3 and 4 share only the manufacturer.
@@ -218,19 +250,17 @@ TEST(MultiPassTest, UnionsPassesAndSuppressesDuplicates) {
   er::LambdaMatcher all(
       [](const er::Entity&, const er::Entity&) { return true; }, "all");
 
-  core::ErPipelineConfig cfg;
-  cfg.num_map_tasks = 2;
-  cfg.num_reduce_tasks = 4;
-  core::ErPipeline pipeline(cfg);
   auto result =
-      core::DeduplicateMultiPass(pipeline, entities, passes, all);
+      RunMultiPass(core::DataflowOptions{},
+                   GraphOptions(StrategyKind::kBlockSplit, 4), 2, entities,
+                   passes, all);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Candidate pairs: pass0 {1,2}; pass1 block acme {1,2,3,4}: 6 pairs,
   // of which (1,2) is suppressed as an earlier-pass duplicate.
   auto reference = core::ReferenceMultiPassDeduplicate(entities, passes,
                                                        all);
-  EXPECT_TRUE(result->matches.SameAs(reference));
-  EXPECT_EQ(result->matches.size(), 6u);
+  EXPECT_TRUE(result->graph.matches.SameAs(reference));
+  EXPECT_EQ(result->graph.matches.size(), 6u);
   EXPECT_EQ(result->suppressed_duplicates, 1);
 }
 
@@ -256,17 +286,13 @@ TEST_P(MultiPassStrategyTest, MatchesReferenceOnGeneratedData) {
       core::ReferenceMultiPassDeduplicate(*entities, passes, matcher);
   ASSERT_GT(reference.size(), 0u);
 
-  core::ErPipelineConfig pcfg;
-  pcfg.strategy = GetParam();
-  pcfg.num_map_tasks = 3;
-  pcfg.num_reduce_tasks = 7;
-  core::ErPipeline pipeline(pcfg);
-  auto result =
-      core::DeduplicateMultiPass(pipeline, *entities, passes, matcher);
+  auto result = RunMultiPass(core::DataflowOptions{},
+                             GraphOptions(GetParam(), 7), 3, *entities, passes,
+                             matcher);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->matches.SameAs(reference))
-      << lb::StrategyName(GetParam()) << ": got "
-      << result->matches.size() << " want " << reference.size();
+  EXPECT_TRUE(result->graph.matches.SameAs(reference))
+      << lb::StrategyKindToName(GetParam()) << ": got "
+      << result->graph.matches.size() << " want " << reference.size();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, MultiPassStrategyTest,
@@ -274,7 +300,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, MultiPassStrategyTest,
                                            StrategyKind::kBlockSplit,
                                            StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 TEST(MultiPassTest, SinglePassEqualsPlainDeduplicate) {
@@ -288,22 +314,24 @@ TEST(MultiPassTest, SinglePassEqualsPlainDeduplicate) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   std::vector<const er::BlockingFunction*> passes{&blocking};
   er::EditDistanceMatcher matcher(0.8);
-  core::ErPipeline pipeline(core::ErPipelineConfig{});
-  auto multi =
-      core::DeduplicateMultiPass(pipeline, *entities, passes, matcher);
-  auto plain = pipeline.Deduplicate(*entities, blocking, matcher);
+  const core::StandardGraphOptions graph;
+  auto multi = RunMultiPass(core::DataflowOptions{}, graph, 4, *entities,
+                            passes, matcher);
+  auto plain = RunStandardGraph(core::DataflowOptions{}, graph,
+                                OneSource(*entities, 4), blocking, matcher);
   ASSERT_TRUE(multi.ok());
   ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(multi->matches.SameAs(plain->matches));
+  EXPECT_TRUE(multi->graph.matches.SameAs(plain->matches));
   EXPECT_EQ(multi->suppressed_duplicates, 0);
 }
 
 TEST(MultiPassTest, EmptyPassesRejected) {
-  core::ErPipeline pipeline(core::ErPipelineConfig{});
   er::EditDistanceMatcher matcher(0.8);
   std::vector<er::Entity> entities{MakeProduct(1, "x", "y")};
-  EXPECT_FALSE(
-      core::DeduplicateMultiPass(pipeline, entities, {}, matcher).ok());
+  EXPECT_FALSE(RunMultiPass(core::DataflowOptions{},
+                            core::StandardGraphOptions{}, 4, entities, {},
+                            matcher)
+                   .ok());
 }
 
 // Multi-pass × out-of-core: the composed per-pass dataflow in kExternal
@@ -327,35 +355,33 @@ TEST_P(MultiPassExternalTest, ExternalEqualsInMemoryByteForByte) {
   er::EditDistanceMatcher matcher(0.8);
 
   auto run = [&](mr::ExecutionMode mode) {
-    core::ErPipelineConfig pcfg;
-    pcfg.strategy = GetParam();
-    pcfg.num_map_tasks = 3;
-    pcfg.num_reduce_tasks = 6;
-    pcfg.num_workers = 4;
-    pcfg.execution.mode = mode;
-    pcfg.execution.io_buffer_bytes = 512;
-    core::ErPipeline pipeline(pcfg);
-    return core::DeduplicateMultiPass(pipeline, *entities, passes,
-                                      matcher);
+    core::DataflowOptions options;
+    options.num_workers = 4;
+    options.execution.mode = mode;
+    options.execution.io_buffer_bytes = 512;
+    return RunMultiPass(options, GraphOptions(GetParam(), 6), 3, *entities,
+                        passes, matcher);
   };
   auto mem = run(mr::ExecutionMode::kInMemory);
   auto ext = run(mr::ExecutionMode::kExternal);
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
 
-  EXPECT_GT(mem->matches.size(), 0u);
-  EXPECT_EQ(mem->matches.pairs(), ext->matches.pairs());
+  EXPECT_GT(mem->graph.matches.size(), 0u);
+  EXPECT_EQ(mem->graph.matches.pairs(), ext->graph.matches.pairs());
   EXPECT_EQ(mem->suppressed_duplicates, ext->suppressed_duplicates);
   EXPECT_GT(mem->suppressed_duplicates, 0);
-  EXPECT_EQ(mem->comparisons, ext->comparisons);
+  EXPECT_EQ(mem->graph.comparisons(), ext->graph.comparisons());
 
   // Stage-by-stage: same graph shape, same per-task counters, and the
   // external run really spilled in every MR stage.
-  ASSERT_EQ(mem->report.stages.size(), ext->report.stages.size());
+  const core::DataflowReport& mem_report = mem->graph.report;
+  const core::DataflowReport& ext_report = ext->graph.report;
+  ASSERT_EQ(mem_report.stages.size(), ext_report.stages.size());
   bool spilled_somewhere = false;
-  for (size_t i = 0; i < mem->report.stages.size(); ++i) {
-    const core::StageReport& a = mem->report.stages[i];
-    const core::StageReport& b = ext->report.stages[i];
+  for (size_t i = 0; i < mem_report.stages.size(); ++i) {
+    const core::StageReport& a = mem_report.stages[i];
+    const core::StageReport& b = ext_report.stages[i];
     EXPECT_EQ(a.stage, b.stage);
     EXPECT_EQ(a.comparisons, b.comparisons) << a.stage;
     EXPECT_EQ(a.output_records, b.output_records) << a.stage;
@@ -380,7 +406,7 @@ TEST_P(MultiPassExternalTest, ExternalEqualsInMemoryByteForByte) {
   // And both agree with the brute-force reference.
   auto reference =
       core::ReferenceMultiPassDeduplicate(*entities, passes, matcher);
-  EXPECT_TRUE(mem->matches.SameAs(reference));
+  EXPECT_TRUE(mem->graph.matches.SameAs(reference));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, MultiPassExternalTest,

@@ -16,16 +16,23 @@
 
 #include "common/io_buffer.h"
 #include "common/random.h"
-#include "core/pipeline.h"
+#include "core/dataflow.h"
+#include "core/stages.h"
 #include "er/blocking.h"
 #include "er/entity_io.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
+#include "graph_test_util.h"
 #include "lb/plan_io.h"
 #include "mr/job.h"
 
 namespace erlb {
 namespace {
+
+using testing_util::GraphRun;
+using testing_util::OneSource;
+using testing_util::RunStandardGraph;
+using testing_util::TwoSources;
 
 // ---- Engine-level differential sweep (mirrors test_mr_stress.cc) --------
 
@@ -185,16 +192,20 @@ TEST(ExecutionModeAutoTest, ThresholdCrossedGoesExternal) {
 
 // ---- Strategy-level differential (all three, one- and two-source) -------
 
-core::ErPipeline MakePipeline(lb::StrategyKind kind,
-                              mr::ExecutionMode mode) {
-  return core::ErPipelineBuilder()
-      .Strategy(kind)
-      .MapTasks(5)
-      .ReduceTasks(7)
-      .Workers(4)
-      .ExecutionMode(mode)
-      .IoBufferBytes(512)
-      .Build();
+// The standard graph every strategy-level differential runs: m=5 map
+// partitions, r=7, 4 workers, 512-byte I/O buffers.
+constexpr uint32_t kMapTasks = 5;
+
+core::DataflowOptions Options(mr::ExecutionMode mode) {
+  core::DataflowOptions options;
+  options.num_workers = 4;
+  options.execution.mode = mode;
+  options.execution.io_buffer_bytes = 512;
+  return options;
+}
+
+core::StandardGraphOptions Graph(lb::StrategyKind kind) {
+  return testing_util::GraphOptions(kind, 7);
 }
 
 std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1500) {
@@ -209,26 +220,26 @@ std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1500) {
   return std::move(data).ValueOrDie();
 }
 
-void ExpectPipelineResultsEqual(const core::ErPipelineResult& mem,
-                                const core::ErPipelineResult& ext) {
+void ExpectPipelineResultsEqual(const GraphRun& mem, const GraphRun& ext) {
   // Same matches.
   EXPECT_TRUE(mem.matches.SameAs(ext.matches));
-  EXPECT_EQ(mem.comparisons, ext.comparisons);
+  EXPECT_EQ(mem.comparisons(), ext.comparisons());
   // Same per-task workloads and counters for both jobs.
-  ExpectTaskMetricsEqual(mem.match_metrics, ext.match_metrics);
-  ExpectTaskMetricsEqual(mem.bdm_metrics, ext.bdm_metrics);
+  ExpectTaskMetricsEqual(mem.job("match"), ext.job("match"));
+  ExpectTaskMetricsEqual(mem.job("bdm"), ext.job("bdm"));
   // Same plan, down to the serialized byte: PlanStats and the strategy
   // body are independent of the execution mode.
-  ASSERT_EQ(mem.plan.has_value(), ext.plan.has_value());
-  if (mem.plan.has_value()) {
-    EXPECT_EQ(lb::MatchPlanToJson(*mem.plan), lb::MatchPlanToJson(*ext.plan));
-    EXPECT_EQ(mem.plan->stats().total_comparisons,
-              ext.plan->stats().total_comparisons);
+  ASSERT_EQ(mem.plan() != nullptr, ext.plan() != nullptr);
+  if (mem.plan() != nullptr) {
+    EXPECT_EQ(lb::MatchPlanToJson(*mem.plan()),
+              lb::MatchPlanToJson(*ext.plan()));
+    EXPECT_EQ(mem.plan()->stats().total_comparisons,
+              ext.plan()->stats().total_comparisons);
   }
   // External mode really ran out-of-core.
-  EXPECT_FALSE(mem.match_metrics.external);
-  EXPECT_TRUE(ext.match_metrics.external);
-  EXPECT_GT(ext.match_metrics.spill_bytes_written, 0);
+  EXPECT_FALSE(mem.job("match").external);
+  EXPECT_TRUE(ext.job("match").external);
+  EXPECT_GT(ext.job("match").spill_bytes_written, 0);
 }
 
 class StrategyExternalTest
@@ -239,10 +250,14 @@ TEST_P(StrategyExternalTest, OneSourceDifferential) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  auto mem = MakePipeline(GetParam(), mr::ExecutionMode::kInMemory)
-                 .Deduplicate(entities, blocking, matcher);
-  auto ext = MakePipeline(GetParam(), mr::ExecutionMode::kExternal)
-                 .Deduplicate(entities, blocking, matcher);
+  auto mem = RunStandardGraph(Options(mr::ExecutionMode::kInMemory),
+                              Graph(GetParam()),
+                              OneSource(entities, kMapTasks), blocking,
+                              matcher);
+  auto ext = RunStandardGraph(Options(mr::ExecutionMode::kExternal),
+                              Graph(GetParam()),
+                              OneSource(entities, kMapTasks), blocking,
+                              matcher);
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   EXPECT_GT(mem->matches.size(), 0u);
@@ -255,10 +270,12 @@ TEST_P(StrategyExternalTest, TwoSourceDifferential) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  auto mem = MakePipeline(GetParam(), mr::ExecutionMode::kInMemory)
-                 .Link(r_entities, s_entities, blocking, matcher);
-  auto ext = MakePipeline(GetParam(), mr::ExecutionMode::kExternal)
-                 .Link(r_entities, s_entities, blocking, matcher);
+  auto mem = RunStandardGraph(
+      Options(mr::ExecutionMode::kInMemory), Graph(GetParam()),
+      TwoSources(r_entities, s_entities, kMapTasks), blocking, matcher);
+  auto ext = RunStandardGraph(
+      Options(mr::ExecutionMode::kExternal), Graph(GetParam()),
+      TwoSources(r_entities, s_entities, kMapTasks), blocking, matcher);
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   EXPECT_GT(mem->matches.size(), 0u);
@@ -270,7 +287,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyExternalTest,
                                            lb::StrategyKind::kBlockSplit,
                                            lb::StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 // Sub-splits exercise BlockSplit's composite-key spill in its general
@@ -279,20 +296,19 @@ TEST(StrategyExternalTest, BlockSplitSubSplitsDifferential) {
   auto entities = SkewedDataset(31);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  auto build = [&](mr::ExecutionMode mode) {
-    return core::ErPipelineBuilder()
-        .Strategy(lb::StrategyKind::kBlockSplit)
-        .MapTasks(4)
-        .ReduceTasks(6)
-        .Workers(4)
-        .SubSplits(3)
-        .ExecutionMode(mode)
-        .Build();
+  auto run = [&](mr::ExecutionMode mode) {
+    core::DataflowOptions options;
+    options.num_workers = 4;
+    options.execution.mode = mode;
+    core::StandardGraphOptions graph;
+    graph.strategy = lb::StrategyKind::kBlockSplit;
+    graph.num_reduce_tasks = 6;
+    graph.sub_splits = 3;
+    return RunStandardGraph(options, graph, OneSource(entities, 4), blocking,
+                            matcher);
   };
-  auto mem = build(mr::ExecutionMode::kInMemory)
-                 .Deduplicate(entities, blocking, matcher);
-  auto ext = build(mr::ExecutionMode::kExternal)
-                 .Deduplicate(entities, blocking, matcher);
+  auto mem = run(mr::ExecutionMode::kInMemory);
+  auto ext = run(mr::ExecutionMode::kExternal);
   ASSERT_TRUE(mem.ok());
   ASSERT_TRUE(ext.ok());
   ExpectPipelineResultsEqual(*mem, *ext);
@@ -304,24 +320,23 @@ TEST(StrategyExternalTest, AutoThresholdSelectsPath) {
   auto entities = SkewedDataset(41, 800);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  auto build = [&](uint64_t threshold) {
-    return core::ErPipelineBuilder()
-        .Strategy(lb::StrategyKind::kBlockSplit)
-        .MapTasks(3)
-        .ReduceTasks(5)
-        .Workers(4)
-        .SpillThresholdBytes(threshold)
-        .Build();
+  auto run = [&](uint64_t threshold) {
+    core::DataflowOptions options;
+    options.num_workers = 4;
+    options.execution.spill_threshold_bytes = threshold;
+    core::StandardGraphOptions graph;
+    graph.strategy = lb::StrategyKind::kBlockSplit;
+    graph.num_reduce_tasks = 5;
+    return RunStandardGraph(options, graph, OneSource(entities, 3), blocking,
+                            matcher);
   };
-  auto spilled =
-      build(0).Deduplicate(entities, blocking, matcher);
-  auto in_memory =
-      build(uint64_t{1} << 40).Deduplicate(entities, blocking, matcher);
+  auto spilled = run(0);
+  auto in_memory = run(uint64_t{1} << 40);
   ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
   ASSERT_TRUE(in_memory.ok());
-  EXPECT_TRUE(spilled->match_metrics.external);
-  EXPECT_TRUE(spilled->bdm_metrics.external);
-  EXPECT_FALSE(in_memory->match_metrics.external);
+  EXPECT_TRUE(spilled->job("match").external);
+  EXPECT_TRUE(spilled->job("bdm").external);
+  EXPECT_FALSE(in_memory->job("match").external);
   EXPECT_TRUE(spilled->matches.SameAs(in_memory->matches));
 }
 
@@ -342,29 +357,26 @@ TEST(DeduplicateCsvTest, ChunkedIngestMatchesVectorPath) {
 
   // Tiny splits: the 600 entities become ceil(600/128) = 5 partitions,
   // each ingested as one bounded batch; external mode end to end.
-  auto pipeline = core::ErPipelineBuilder()
-                      .Strategy(lb::StrategyKind::kBlockSplit)
-                      .ReduceTasks(6)
-                      .Workers(4)
-                      .CsvSplitRecords(128)
-                      .ExecutionMode(mr::ExecutionMode::kExternal)
-                      .Build();
-  auto from_csv = pipeline.DeduplicateCsv(csv_path, schema, blocking,
-                                          matcher);
+  core::DataflowOptions options;
+  options.num_workers = 4;
+  core::StandardGraphOptions graph;
+  graph.strategy = lb::StrategyKind::kBlockSplit;
+  graph.num_reduce_tasks = 6;
+  core::DataflowOptions external = options;
+  external.execution.mode = mr::ExecutionMode::kExternal;
+  core::Dataflow df(external);
+  df.Emplace<core::CsvSourceStage>("source", core::kDatasetPartitions,
+                                   csv_path, schema, 128);
+  ASSERT_TRUE(core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
+  auto from_csv = testing_util::RunGraph(&df);
   ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
-  EXPECT_TRUE(from_csv->match_metrics.external);
-  EXPECT_EQ(from_csv->match_metrics.TotalMapInputRecords(), 600);
-  ASSERT_EQ(from_csv->bdm_metrics.map_tasks.size(), 5u);
+  EXPECT_TRUE(from_csv->job("match").external);
+  EXPECT_EQ(from_csv->job("match").TotalMapInputRecords(), 600);
+  ASSERT_EQ(from_csv->job("bdm").map_tasks.size(), 5u);
 
   // Same result as the in-memory vector path over the same partitioning.
-  auto reference_pipeline = core::ErPipelineBuilder()
-                                .Strategy(lb::StrategyKind::kBlockSplit)
-                                .MapTasks(5)
-                                .ReduceTasks(6)
-                                .Workers(4)
-                                .Build();
-  auto reference =
-      reference_pipeline.Deduplicate(entities, blocking, matcher);
+  auto reference = RunStandardGraph(options, graph, OneSource(entities, 5),
+                                    blocking, matcher);
   ASSERT_TRUE(reference.ok());
   EXPECT_GT(reference->matches.size(), 0u);
   EXPECT_TRUE(from_csv->matches.SameAs(reference->matches));
@@ -372,10 +384,15 @@ TEST(DeduplicateCsvTest, ChunkedIngestMatchesVectorPath) {
 
 TEST(DeduplicateCsvTest, MissingFileIsIoError) {
   er::CsvSchema schema;
-  auto pipeline = core::ErPipelineBuilder().Build();
-  auto result = pipeline.DeduplicateCsv("/nonexistent/file.csv", schema,
-                                        er::ConstantBlocking(),
-                                        er::JaroWinklerMatcher());
+  er::ConstantBlocking blocking;
+  er::JaroWinklerMatcher matcher;
+  core::Dataflow df;
+  df.Emplace<core::CsvSourceStage>("source", core::kDatasetPartitions,
+                                   "/nonexistent/file.csv", schema, 8192);
+  ASSERT_TRUE(core::AddStandardGraph(&df, core::StandardGraphOptions{},
+                                     &blocking, &matcher)
+                  .ok());
+  auto result = testing_util::RunGraph(&df);
   EXPECT_FALSE(result.ok());
 }
 

@@ -22,15 +22,19 @@
 #include "common/io_buffer.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "core/pipeline.h"
+#include "core/dataflow.h"
+#include "core/stages.h"
 #include "er/blocking.h"
 #include "er/entity_io.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
+#include "graph_test_util.h"
 #include "mr/job.h"
 
 namespace erlb {
 namespace {
+
+using testing_util::GraphRun;
 
 class FaultSweepTest : public ::testing::Test {
  protected:
@@ -60,30 +64,32 @@ class FaultSweepTest : public ::testing::Test {
   // One checkpointed external run over the chunked CSV ingest path,
   // with a retry budget — the configuration every fault site
   // participates in. `checkpoint_dir` empty means "fresh scratch dir".
-  Result<core::ErPipelineResult> RunPipeline(std::string checkpoint_dir) {
+  Result<GraphRun> RunPipeline(std::string checkpoint_dir) {
     static int scratch_seq = 0;
     if (checkpoint_dir.empty()) {
       checkpoint_dir =
           base_->path() + "/scratch-ck-" + std::to_string(scratch_seq++);
     }
-    mr::ExecutionOptions opts;
-    opts.mode = mr::ExecutionMode::kExternal;
-    opts.io_buffer_bytes = 256;
-    opts.max_task_attempts = 3;
-    opts.checkpoint.dir = checkpoint_dir;
+    core::DataflowOptions options;
+    options.num_workers = 2;
+    options.execution.mode = mr::ExecutionMode::kExternal;
+    options.execution.io_buffer_bytes = 256;
+    options.execution.max_task_attempts = 3;
+    options.execution.checkpoint.dir = checkpoint_dir;
+    core::StandardGraphOptions graph;
+    graph.strategy = lb::StrategyKind::kBlockSplit;
+    graph.num_reduce_tasks = 5;
     er::CsvSchema schema;
     schema.id_column = 0;
     schema.has_header = true;
-    auto pipeline = core::ErPipelineBuilder()
-                        .Execution(opts)
-                        .Strategy(lb::StrategyKind::kBlockSplit)
-                        .ReduceTasks(5)
-                        .Workers(2)
-                        .CsvSplitRecords(64)
-                        .Build();
-    return pipeline.DeduplicateCsv(
-        csv_path_, schema, er::AttributeBlocking(gen::kSkewBlockField),
-        er::JaroWinklerMatcher(0.85, gen::kSkewTitleField));
+    const er::AttributeBlocking blocking(gen::kSkewBlockField);
+    const er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
+    core::Dataflow df(options);
+    df.Emplace<core::CsvSourceStage>("source", core::kDatasetPartitions,
+                                     csv_path_, schema, 64);
+    ERLB_RETURN_NOT_OK(
+        core::AddStandardGraph(&df, graph, &blocking, &matcher));
+    return testing_util::RunGraph(&df);
   }
 
   // Runs with the given fault armed and checks the sweep contract;
@@ -101,7 +107,7 @@ class FaultSweepTest : public ::testing::Test {
       // Retries absorbed the fault (or it never triggered): the result
       // must be indistinguishable from the reference.
       EXPECT_TRUE(faulted->matches.SameAs(reference_->matches)) << site;
-      EXPECT_EQ(faulted->comparisons, reference_->comparisons) << site;
+      EXPECT_EQ(faulted->comparisons(), reference_->comparisons()) << site;
     } else {
       // A clean, explained failure — only acceptable if the fault
       // actually fired.
@@ -114,7 +120,7 @@ class FaultSweepTest : public ::testing::Test {
       EXPECT_TRUE(rerun.ok()) << site << ": " << rerun.status().ToString();
       if (rerun.ok()) {
         EXPECT_TRUE(rerun->matches.SameAs(reference_->matches)) << site;
-        EXPECT_EQ(rerun->comparisons, reference_->comparisons) << site;
+        EXPECT_EQ(rerun->comparisons(), reference_->comparisons()) << site;
       }
     }
     return faulted.ok();
@@ -122,7 +128,7 @@ class FaultSweepTest : public ::testing::Test {
 
   std::optional<ScopedTempDir> base_;
   std::string csv_path_;
-  std::optional<core::ErPipelineResult> reference_;
+  std::optional<GraphRun> reference_;
 };
 
 TEST_F(FaultSweepTest, EveryRegisteredSiteOneShotError) {

@@ -6,19 +6,24 @@
 
 #include <string>
 
-#include "core/pipeline.h"
+#include "core/dataflow.h"
 #include "core/reference.h"
+#include "core/stages.h"
 #include "er/clustering.h"
 #include "er/evaluation.h"
 #include "er/matcher.h"
 #include "gen/product_gen.h"
 #include "gen/skew_gen.h"
+#include "graph_test_util.h"
 #include "strategy_test_util.h"
 
 namespace erlb {
 namespace {
 
 using lb::StrategyKind;
+using testing_util::GraphOptions;
+using testing_util::OneSource;
+using testing_util::RunStandardGraph;
 using testing_util::RunStrategy;
 
 TEST(IntegrationTest, FullDs1SmallPipelineWithClustering) {
@@ -31,12 +36,9 @@ TEST(IntegrationTest, FullDs1SmallPipelineWithClustering) {
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
 
-  core::ErPipelineConfig pcfg;
-  pcfg.strategy = StrategyKind::kBlockSplit;
-  pcfg.num_map_tasks = 6;
-  pcfg.num_reduce_tasks = 24;
-  core::ErPipeline pipeline(pcfg);
-  auto result = pipeline.Deduplicate(*entities, blocking, matcher);
+  auto result = RunStandardGraph(core::DataflowOptions{},
+                                 GraphOptions(StrategyKind::kBlockSplit, 24),
+                                 OneSource(*entities, 6), blocking, matcher);
   ASSERT_TRUE(result.ok());
 
   // Clustering the pairwise result yields consistent counts.
@@ -74,19 +76,17 @@ TEST(IntegrationTest, WorkerCountDoesNotChangeAnyCounter) {
   int64_t base_comparisons = -1;
   er::MatchResult base_matches;
   for (uint32_t workers : {1u, 2u, 5u}) {
-    core::ErPipelineConfig pcfg;
-    pcfg.strategy = StrategyKind::kPairRange;
-    pcfg.num_map_tasks = 4;
-    pcfg.num_reduce_tasks = 9;
-    pcfg.num_workers = workers;
-    core::ErPipeline pipeline(pcfg);
-    auto result = pipeline.Deduplicate(*entities, blocking, matcher);
+    core::DataflowOptions options;
+    options.num_workers = workers;
+    auto result =
+        RunStandardGraph(options, GraphOptions(StrategyKind::kPairRange, 9),
+                         OneSource(*entities, 4), blocking, matcher);
     ASSERT_TRUE(result.ok());
     if (base_comparisons < 0) {
-      base_comparisons = result->comparisons;
+      base_comparisons = result->comparisons();
       base_matches = result->matches;
     } else {
-      EXPECT_EQ(result->comparisons, base_comparisons);
+      EXPECT_EQ(result->comparisons(), base_comparisons);
       EXPECT_TRUE(result->matches.SameAs(base_matches));
     }
   }
@@ -112,16 +112,13 @@ TEST(IntegrationTest, BinaryBytesInTitlesAreHandled) {
   er::EditDistanceMatcher matcher(0.8);
   auto reference = core::ReferenceDeduplicate(entities, blocking, matcher);
 
-  for (auto kind : lb::AllStrategies()) {
-    core::ErPipelineConfig pcfg;
-    pcfg.strategy = kind;
-    pcfg.num_map_tasks = 2;
-    pcfg.num_reduce_tasks = 3;
-    core::ErPipeline pipeline(pcfg);
-    auto result = pipeline.Deduplicate(entities, blocking, matcher);
-    ASSERT_TRUE(result.ok()) << lb::StrategyName(kind);
+  for (auto kind : lb::AllStrategyKinds()) {
+    auto result =
+        RunStandardGraph(core::DataflowOptions{}, GraphOptions(kind, 3),
+                         OneSource(entities, 2), blocking, matcher);
+    ASSERT_TRUE(result.ok()) << lb::StrategyKindToName(kind);
     EXPECT_TRUE(result->matches.SameAs(reference))
-        << lb::StrategyName(kind);
+        << lb::StrategyKindToName(kind);
   }
 }
 
@@ -138,16 +135,13 @@ TEST(IntegrationTest, OneEntityPerBlockProducesNoPairs) {
   }
   er::AttributeBlocking blocking(1);
   er::EditDistanceMatcher matcher(0.8);
-  for (auto kind : lb::AllStrategies()) {
-    core::ErPipelineConfig pcfg;
-    pcfg.strategy = kind;
-    pcfg.num_map_tasks = 3;
-    pcfg.num_reduce_tasks = 5;
-    core::ErPipeline pipeline(pcfg);
-    auto result = pipeline.Deduplicate(entities, blocking, matcher);
-    ASSERT_TRUE(result.ok()) << lb::StrategyName(kind);
-    EXPECT_EQ(result->comparisons, 0) << lb::StrategyName(kind);
-    EXPECT_TRUE(result->matches.empty()) << lb::StrategyName(kind);
+  for (auto kind : lb::AllStrategyKinds()) {
+    auto result =
+        RunStandardGraph(core::DataflowOptions{}, GraphOptions(kind, 5),
+                         OneSource(entities, 3), blocking, matcher);
+    ASSERT_TRUE(result.ok()) << lb::StrategyKindToName(kind);
+    EXPECT_EQ(result->comparisons(), 0) << lb::StrategyKindToName(kind);
+    EXPECT_TRUE(result->matches.empty()) << lb::StrategyKindToName(kind);
   }
 }
 
@@ -166,12 +160,12 @@ TEST(IntegrationTest, SingleGiantBlock) {
   er::LambdaMatcher all(
       [](const er::Entity&, const er::Entity&) { return true; }, "all");
   const int64_t expected = static_cast<int64_t>(n * (n - 1) / 2);
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     er::Partitions parts = er::SplitIntoPartitions(entities, 4);
     auto run = RunStrategy(kind, parts, blocking, all, 10);
-    EXPECT_EQ(run.comparisons, expected) << lb::StrategyName(kind);
+    EXPECT_EQ(run.comparisons, expected) << lb::StrategyKindToName(kind);
     EXPECT_EQ(run.matches.size(), static_cast<size_t>(expected))
-        << lb::StrategyName(kind);
+        << lb::StrategyKindToName(kind);
   }
 }
 
@@ -206,10 +200,10 @@ TEST(IntegrationTest, ManyMoreReduceTasksThanPairs) {
   er::AttributeBlocking blocking(1);
   er::LambdaMatcher all(
       [](const er::Entity&, const er::Entity&) { return true; }, "all");
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     er::Partitions parts = er::SplitIntoPartitions(entities, 2);
     auto run = RunStrategy(kind, parts, blocking, all, 500);
-    EXPECT_EQ(run.comparisons, 15) << lb::StrategyName(kind);
+    EXPECT_EQ(run.comparisons, 15) << lb::StrategyKindToName(kind);
   }
 }
 
@@ -224,8 +218,9 @@ TEST(IntegrationTest, LongTitlesDoNotBreakBandedMatcher) {
   entities[1].fields = {long_b};
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
-  core::ErPipeline pipeline(core::ErPipelineConfig{});
-  auto result = pipeline.Deduplicate(entities, blocking, matcher);
+  auto result = RunStandardGraph(core::DataflowOptions{},
+                                 core::StandardGraphOptions{},
+                                 OneSource(entities, 4), blocking, matcher);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->matches.size(), 1u);  // 1 edit in 3000 chars
 }

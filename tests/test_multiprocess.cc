@@ -22,10 +22,12 @@
 #include "common/fault.h"
 #include "common/io_buffer.h"
 #include "common/random.h"
-#include "core/pipeline.h"
+#include "core/dataflow.h"
+#include "core/stages.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
+#include "graph_test_util.h"
 #include "lb/plan_io.h"
 #include "mr/job.h"
 
@@ -329,21 +331,29 @@ TEST(MultiProcessCheckpointTest, RerunAdoptsCommittedMapAndReduceTasks) {
 
 // ---- Strategy-level differential (all three, one- and two-source) -------
 
-core::ErPipeline MakePipeline(lb::StrategyKind kind,
-                              mr::ExecutionMode mode,
+using testing_util::GraphRun;
+using testing_util::OneSource;
+using testing_util::RunStandardGraph;
+using testing_util::TwoSources;
+
+// The standard graph every strategy-level differential runs: m=5 map
+// partitions, r=7, 4 workers, 512-byte I/O buffers; a non-zero
+// `worker_processes` selects multi-process mode with that many workers.
+constexpr uint32_t kMapTasks = 5;
+
+core::DataflowOptions Options(mr::ExecutionMode mode,
                               uint32_t worker_processes = 0) {
-  auto builder = core::ErPipelineBuilder()
-                     .Strategy(kind)
-                     .MapTasks(5)
-                     .ReduceTasks(7)
-                     .Workers(4)
-                     .IoBufferBytes(512);
-  if (worker_processes > 0) {
-    builder.WorkerProcesses(worker_processes);
-  } else {
-    builder.ExecutionMode(mode);
-  }
-  return builder.Build();
+  core::DataflowOptions options;
+  options.num_workers = 4;
+  options.execution.io_buffer_bytes = 512;
+  options.execution.mode =
+      worker_processes > 0 ? mr::ExecutionMode::kMultiProcess : mode;
+  options.execution.num_worker_processes = worker_processes;
+  return options;
+}
+
+core::StandardGraphOptions Graph(lb::StrategyKind kind) {
+  return testing_util::GraphOptions(kind, 7);
 }
 
 std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1200) {
@@ -358,20 +368,20 @@ std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1200) {
   return std::move(data).ValueOrDie();
 }
 
-void ExpectPipelineResultsEqual(const core::ErPipelineResult& reference,
-                                const core::ErPipelineResult& mp) {
+void ExpectPipelineResultsEqual(const GraphRun& reference,
+                                const GraphRun& mp) {
   EXPECT_TRUE(reference.matches.SameAs(mp.matches));
-  EXPECT_EQ(reference.comparisons, mp.comparisons);
-  ExpectTaskMetricsEqual(reference.match_metrics, mp.match_metrics);
-  ExpectTaskMetricsEqual(reference.bdm_metrics, mp.bdm_metrics);
-  ASSERT_EQ(reference.plan.has_value(), mp.plan.has_value());
-  if (reference.plan.has_value()) {
-    EXPECT_EQ(lb::MatchPlanToJson(*reference.plan),
-              lb::MatchPlanToJson(*mp.plan));
+  EXPECT_EQ(reference.comparisons(), mp.comparisons());
+  ExpectTaskMetricsEqual(reference.job("match"), mp.job("match"));
+  ExpectTaskMetricsEqual(reference.job("bdm"), mp.job("bdm"));
+  ASSERT_EQ(reference.plan() != nullptr, mp.plan() != nullptr);
+  if (reference.plan() != nullptr) {
+    EXPECT_EQ(lb::MatchPlanToJson(*reference.plan()),
+              lb::MatchPlanToJson(*mp.plan()));
   }
-  EXPECT_TRUE(mp.match_metrics.multi_process);
-  EXPECT_TRUE(mp.match_metrics.external);
-  EXPECT_GT(mp.match_metrics.spill_bytes_written, 0);
+  EXPECT_TRUE(mp.job("match").multi_process);
+  EXPECT_TRUE(mp.job("match").external);
+  EXPECT_GT(mp.job("match").spill_bytes_written, 0);
 }
 
 class StrategyMultiProcessTest
@@ -382,13 +392,19 @@ TEST_P(StrategyMultiProcessTest, OneSourceDifferential) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  auto mem = MakePipeline(GetParam(), mr::ExecutionMode::kInMemory)
-                 .Deduplicate(entities, blocking, matcher);
-  auto ext = MakePipeline(GetParam(), mr::ExecutionMode::kExternal)
-                 .Deduplicate(entities, blocking, matcher);
-  auto mp = MakePipeline(GetParam(), mr::ExecutionMode::kMultiProcess,
-                         /*worker_processes=*/3)
-                .Deduplicate(entities, blocking, matcher);
+  auto mem = RunStandardGraph(Options(mr::ExecutionMode::kInMemory),
+                              Graph(GetParam()),
+                              OneSource(entities, kMapTasks), blocking,
+                              matcher);
+  auto ext = RunStandardGraph(Options(mr::ExecutionMode::kExternal),
+                              Graph(GetParam()),
+                              OneSource(entities, kMapTasks), blocking,
+                              matcher);
+  auto mp = RunStandardGraph(Options(mr::ExecutionMode::kMultiProcess,
+                                     /*worker_processes=*/3),
+                             Graph(GetParam()),
+                             OneSource(entities, kMapTasks), blocking,
+                             matcher);
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   ASSERT_TRUE(mp.ok()) << mp.status().ToString();
@@ -403,11 +419,13 @@ TEST_P(StrategyMultiProcessTest, TwoSourceDifferential) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  auto mem = MakePipeline(GetParam(), mr::ExecutionMode::kInMemory)
-                 .Link(r_entities, s_entities, blocking, matcher);
-  auto mp = MakePipeline(GetParam(), mr::ExecutionMode::kMultiProcess,
-                         /*worker_processes=*/3)
-                .Link(r_entities, s_entities, blocking, matcher);
+  auto mem = RunStandardGraph(
+      Options(mr::ExecutionMode::kInMemory), Graph(GetParam()),
+      TwoSources(r_entities, s_entities, kMapTasks), blocking, matcher);
+  auto mp = RunStandardGraph(
+      Options(mr::ExecutionMode::kMultiProcess, /*worker_processes=*/3),
+      Graph(GetParam()), TwoSources(r_entities, s_entities, kMapTasks),
+      blocking, matcher);
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   ASSERT_TRUE(mp.ok()) << mp.status().ToString();
   EXPECT_GT(mem->matches.size(), 0u);
@@ -419,7 +437,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyMultiProcessTest,
                                            lb::StrategyKind::kBlockSplit,
                                            lb::StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 // One-worker degenerate pool through the full pipeline, plus a pool
@@ -429,14 +447,16 @@ TEST(StrategyMultiProcessTest, DegenerateWorkerCounts) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  auto mem = MakePipeline(lb::StrategyKind::kBlockSplit,
-                          mr::ExecutionMode::kInMemory)
-                 .Deduplicate(entities, blocking, matcher);
+  auto mem = RunStandardGraph(Options(mr::ExecutionMode::kInMemory),
+                              Graph(lb::StrategyKind::kBlockSplit),
+                              OneSource(entities, kMapTasks), blocking,
+                              matcher);
   ASSERT_TRUE(mem.ok());
   for (uint32_t workers : {1u, 16u}) {  // 16 > m=5 map tasks
-    auto mp = MakePipeline(lb::StrategyKind::kBlockSplit,
-                           mr::ExecutionMode::kMultiProcess, workers)
-                  .Deduplicate(entities, blocking, matcher);
+    auto mp = RunStandardGraph(
+        Options(mr::ExecutionMode::kMultiProcess, workers),
+        Graph(lb::StrategyKind::kBlockSplit), OneSource(entities, kMapTasks),
+        blocking, matcher);
     ASSERT_TRUE(mp.ok()) << workers << ": " << mp.status().ToString();
     ExpectPipelineResultsEqual(*mem, *mp);
   }

@@ -1,18 +1,30 @@
-#include "core/pipeline.h"
-
+// End-to-end tests of the paper's two-job ER workflow run as the
+// standard dataflow graph (core/stages.h AddStandardGraph): every
+// strategy against the brute-force reference, one- and two-source,
+// plan-first re-execution, up-front option validation, and the
+// missing-key decompositions of Section III and Appendix I.
 #include <gtest/gtest.h>
 
 #include "common/io_buffer.h"
+#include "core/dataflow.h"
 #include "core/reference.h"
+#include "core/stages.h"
 #include "er/entity_io.h"
 #include "er/evaluation.h"
 #include "gen/product_gen.h"
 #include "gen/skew_gen.h"
+#include "graph_test_util.h"
 #include "lb/strategy.h"
 
 namespace erlb {
 namespace core {
 namespace {
+
+using testing_util::GraphOptions;
+using testing_util::GraphRun;
+using testing_util::OneSource;
+using testing_util::RunGraph;
+using testing_util::RunStandardGraph;
 
 std::vector<er::Entity> SmallProducts(uint64_t n = 800, uint64_t seed = 3) {
   gen::ProductConfig cfg;
@@ -25,6 +37,12 @@ std::vector<er::Entity> SmallProducts(uint64_t n = 800, uint64_t seed = 3) {
   return *entities;
 }
 
+DataflowOptions Workers(uint32_t workers) {
+  DataflowOptions options;
+  options.num_workers = workers;
+  return options;
+}
+
 class PipelineStrategyTest
     : public ::testing::TestWithParam<lb::StrategyKind> {};
 
@@ -35,43 +53,37 @@ TEST_P(PipelineStrategyTest, DeduplicateMatchesReference) {
   auto reference = ReferenceDeduplicate(entities, blocking, matcher);
   ASSERT_GT(reference.size(), 0u);
 
-  ErPipelineConfig cfg;
-  cfg.strategy = GetParam();
-  cfg.num_map_tasks = 3;
-  cfg.num_reduce_tasks = 9;
-  cfg.num_workers = 4;
-  ErPipeline pipeline(cfg);
-  auto result = pipeline.Deduplicate(entities, blocking, matcher);
+  auto result = RunStandardGraph(Workers(4), GraphOptions(GetParam(), 9),
+                                 OneSource(entities, 3), blocking, matcher);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->matches.SameAs(reference));
-  EXPECT_GT(result->comparisons, 0);
-  EXPECT_GT(result->total_seconds, 0.0);
+  EXPECT_GT(result->comparisons(), 0);
+  EXPECT_GT(result->report.total_seconds, 0.0);
   if (GetParam() != lb::StrategyKind::kBasic) {
     EXPECT_GT(result->bdm.num_blocks(), 0u);
-    EXPECT_GT(result->bdm_seconds, 0.0);
+    EXPECT_GT(result->report.Find("bdm")->seconds, 0.0);
   }
 }
 
 TEST_P(PipelineStrategyTest, PrebuiltPlanOverloadMatchesFreshRun) {
-  // Plan once, execute many: a run's plan fed back through the plan-first
-  // overload must reproduce the run exactly, without re-planning.
+  // Plan once, execute many: a run's plan bound as the graph's plan
+  // input must reproduce the run exactly, without re-planning.
   auto entities = SmallProducts(500, 11);
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
 
-  ErPipeline pipeline = ErPipelineBuilder()
-                            .Strategy(GetParam())
-                            .MapTasks(3)
-                            .ReduceTasks(7)
-                            .Workers(4)
-                            .Build();
-  er::Partitions parts = er::SplitIntoPartitions(entities, 3);
-  ErPipelineConfig cfg = pipeline.config();
-  EXPECT_EQ(cfg.strategy, GetParam());
+  const StandardGraphOptions graph = GraphOptions(GetParam(), 7);
+  EXPECT_EQ(graph.strategy, GetParam());
+  auto run = [&](const std::vector<er::Entity>& input,
+                 const lb::MatchPlan* plan) {
+    return RunStandardGraph(Workers(4), graph, OneSource(input, 3),
+                            blocking, matcher, plan);
+  };
 
   if (GetParam() == lb::StrategyKind::kBasic) {
-    // Basic's default path is the single job and carries no plan; build
-    // one explicitly to exercise the overload.
+    // Basic's default graph is the single job and carries no plan; build
+    // one explicitly to exercise the plan input.
+    er::Partitions parts = er::SplitIntoPartitions(entities, 3);
     std::vector<std::vector<std::string>> keys(parts.size());
     for (size_t p = 0; p < parts.size(); ++p) {
       for (const auto& e : parts[p]) keys[p].push_back(blocking.Key(*e));
@@ -82,30 +94,25 @@ TEST_P(PipelineStrategyTest, PrebuiltPlanOverloadMatchesFreshRun) {
     options.num_reduce_tasks = 7;
     auto plan = lb::MakeStrategy(GetParam())->BuildPlan(*bdm, options);
     ASSERT_TRUE(plan.ok());
-    auto replay =
-        pipeline.DeduplicatePartitioned(parts, blocking, matcher, *plan);
+    auto replay = run(entities, &*plan);
     ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-    auto fresh = pipeline.DeduplicatePartitioned(parts, blocking, matcher);
+    auto fresh = run(entities, nullptr);
     ASSERT_TRUE(fresh.ok());
     EXPECT_TRUE(replay->matches.SameAs(fresh->matches));
-    EXPECT_EQ(replay->comparisons, fresh->comparisons);
+    EXPECT_EQ(replay->comparisons(), fresh->comparisons());
     return;
   }
 
-  auto fresh = pipeline.DeduplicatePartitioned(parts, blocking, matcher);
+  auto fresh = run(entities, nullptr);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  ASSERT_TRUE(fresh->plan.has_value());
-  auto replay = pipeline.DeduplicatePartitioned(parts, blocking, matcher,
-                                                *fresh->plan);
+  ASSERT_NE(fresh->plan(), nullptr);
+  auto replay = run(entities, fresh->plan());
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_TRUE(replay->matches.SameAs(fresh->matches));
-  EXPECT_EQ(replay->comparisons, fresh->comparisons);
+  EXPECT_EQ(replay->comparisons(), fresh->comparisons());
 
   // A plan for different data must be rejected by the fingerprint check.
-  auto other_entities = SmallProducts(300, 77);
-  er::Partitions other_parts = er::SplitIntoPartitions(other_entities, 3);
-  auto mismatched = pipeline.DeduplicatePartitioned(other_parts, blocking,
-                                                    matcher, *fresh->plan);
+  auto mismatched = run(SmallProducts(300, 77), fresh->plan());
   EXPECT_TRUE(mismatched.status().IsInvalidArgument());
 }
 
@@ -118,13 +125,10 @@ TEST_P(PipelineStrategyTest, LinkMatchesReference) {
   auto reference =
       ReferenceLink(r_entities, s_entities, blocking, matcher);
 
-  ErPipelineConfig cfg;
-  cfg.strategy = GetParam();
-  cfg.num_map_tasks = 5;
-  cfg.num_reduce_tasks = 7;
-  cfg.num_workers = 4;
-  ErPipeline pipeline(cfg);
-  auto result = pipeline.Link(r_entities, s_entities, blocking, matcher);
+  auto input = LinkagePartitions(r_entities, s_entities, 5);
+  ASSERT_TRUE(input.ok()) << input.status().ToString();
+  auto result = RunStandardGraph(Workers(4), GraphOptions(GetParam(), 7),
+                                 std::move(*input), blocking, matcher);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->matches.SameAs(reference))
       << "got " << result->matches.size() << " want " << reference.size();
@@ -135,7 +139,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PipelineStrategyTest,
                                            lb::StrategyKind::kBlockSplit,
                                            lb::StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 TEST(PipelineTest, StrategiesAgreeWithEachOther) {
@@ -144,14 +148,10 @@ TEST(PipelineTest, StrategiesAgreeWithEachOther) {
   er::EditDistanceMatcher matcher(0.8);
   er::MatchResult results[3];
   int i = 0;
-  for (auto kind : lb::AllStrategies()) {
-    ErPipelineConfig cfg;
-    cfg.strategy = kind;
-    cfg.num_map_tasks = 4;
-    cfg.num_reduce_tasks = 5;
-    cfg.num_workers = 2;
-    ErPipeline pipeline(cfg);
-    auto result = pipeline.Deduplicate(entities, blocking, matcher);
+  for (auto kind : lb::AllStrategyKinds()) {
+    auto result = RunStandardGraph(Workers(2), GraphOptions(kind, 5),
+                                   OneSource(entities, 4), blocking,
+                                   matcher);
     ASSERT_TRUE(result.ok());
     results[i++] = result->matches;
   }
@@ -163,12 +163,9 @@ TEST(PipelineTest, RecallOnInjectedDuplicatesIsHigh) {
   auto entities = SmallProducts(1500, 17);
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
-  ErPipelineConfig cfg;
-  cfg.strategy = lb::StrategyKind::kBlockSplit;
-  cfg.num_map_tasks = 4;
-  cfg.num_reduce_tasks = 8;
-  ErPipeline pipeline(cfg);
-  auto result = pipeline.Deduplicate(entities, blocking, matcher);
+  auto result = RunStandardGraph(
+      DataflowOptions{}, GraphOptions(lb::StrategyKind::kBlockSplit, 8),
+      OneSource(entities, 4), blocking, matcher);
   ASSERT_TRUE(result.ok());
   auto quality = er::EvaluateMatches(entities, result->matches);
   // Typo duplicates are within 2 edits of ~25-char titles, so most pass
@@ -177,78 +174,74 @@ TEST(PipelineTest, RecallOnInjectedDuplicatesIsHigh) {
   EXPECT_GT(quality.true_positives, 50u);
 }
 
-// ---- ErPipelineConfig::Validate: contradictory knobs fail up front ------
-
-TEST(PipelineConfigValidateTest, DefaultConfigIsValid) {
-  EXPECT_TRUE(ErPipelineConfig{}.Validate().ok());
-}
+// ---- Contradictory knobs fail up front, through the graph ---------------
 
 TEST(PipelineConfigValidateTest, ZeroKnobsRejected) {
   auto entities = SmallProducts(50, 5);
-  er::PrefixBlocking blocking(0, 3);
-  er::EditDistanceMatcher matcher(0.8);
-  auto expect_invalid = [&](ErPipelineConfig cfg, const char* what) {
-    EXPECT_TRUE(cfg.Validate().IsInvalidArgument()) << what;
-    EXPECT_NE(cfg.Validate().ToString().find(what), std::string::npos);
-    // The same rejection reaches every entry point.
-    ErPipeline pipeline(cfg);
-    EXPECT_TRUE(pipeline.Deduplicate(entities, blocking, matcher)
-                    .status()
-                    .IsInvalidArgument())
-        << what;
-  };
-  ErPipelineConfig cfg;
-  cfg.num_map_tasks = 0;
-  expect_invalid(cfg, "num_map_tasks");
-  cfg = ErPipelineConfig{};
-  cfg.num_reduce_tasks = 0;
-  expect_invalid(cfg, "num_reduce_tasks");
-  cfg = ErPipelineConfig{};
-  cfg.sub_splits = 0;
-  expect_invalid(cfg, "sub_splits");
-  cfg = ErPipelineConfig{};
-  cfg.csv_split_records = 0;
-  expect_invalid(cfg, "csv_split_records");
-  // Previously a CHECK-crash deep inside JobRunner; now a status.
-  cfg = ErPipelineConfig{};
-  cfg.execution.io_buffer_bytes = 0;
-  expect_invalid(cfg, "io_buffer_bytes");
-}
-
-TEST(PipelineConfigValidateTest, CsvPathRejectsTunedNumMapTasks) {
-  // num_map_tasks is meaningless on the CSV path (m follows
-  // csv_split_records); it used to be silently ignored — now it errors.
   auto base = ScopedTempDir::Make();
   ASSERT_TRUE(base.ok());
   const std::string csv_path = base->path() + "/in.csv";
-  ASSERT_TRUE(
-      er::SaveEntitiesToCsv(csv_path, SmallProducts(20, 5)).ok());
+  ASSERT_TRUE(er::SaveEntitiesToCsv(csv_path, entities).ok());
   er::CsvSchema schema;
   schema.id_column = 0;
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
-
-  ErPipelineConfig cfg;
-  cfg.num_map_tasks = 7;
-  ErPipeline tuned(cfg);
-  Status status =
-      tuned.DeduplicateCsv(csv_path, schema, blocking, matcher).status();
-  EXPECT_TRUE(status.IsInvalidArgument());
-  EXPECT_NE(status.ToString().find("num_map_tasks"), std::string::npos);
-
-  // The default passes.
-  ErPipeline untouched{ErPipelineConfig{}};
-  EXPECT_TRUE(
-      untouched.DeduplicateCsv(csv_path, schema, blocking, matcher).ok());
+  // Each knob's zero reaches the caller as InvalidArgument naming it,
+  // from whichever part of the graph owns the knob: the source stage
+  // (m, split size), the plan stage (r, sub-splits) or Dataflow::Run's
+  // option check (buffer size).
+  struct Knobs {
+    DataflowOptions options;
+    StandardGraphOptions graph;
+    uint32_t num_map_tasks = 4;
+    uint32_t csv_split_records = 8192;
+  };
+  auto expect_invalid = [&](const Knobs& knobs, const char* what,
+                            bool from_csv) {
+    Dataflow df(knobs.options);
+    if (from_csv) {
+      df.Emplace<CsvSourceStage>("source", kDatasetPartitions, csv_path,
+                                 schema, knobs.csv_split_records);
+    } else {
+      df.Emplace<EntitySourceStage>("source", kDatasetPartitions,
+                                    &entities, knobs.num_map_tasks);
+    }
+    ASSERT_TRUE(AddStandardGraph(&df, knobs.graph, &blocking, &matcher).ok());
+    Status status = RunGraph(&df).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << what << ": "
+                                            << status.ToString();
+    EXPECT_NE(status.ToString().find(what), std::string::npos)
+        << status.ToString();
+  };
+  Knobs knobs;
+  knobs.num_map_tasks = 0;
+  expect_invalid(knobs, "num_map_tasks", /*from_csv=*/false);
+  knobs = Knobs{};
+  knobs.graph.num_reduce_tasks = 0;
+  expect_invalid(knobs, "num_reduce_tasks", /*from_csv=*/false);
+  knobs = Knobs{};
+  knobs.graph.sub_splits = 0;
+  expect_invalid(knobs, "sub_splits", /*from_csv=*/false);
+  knobs = Knobs{};
+  knobs.csv_split_records = 0;
+  expect_invalid(knobs, "csv_split_records", /*from_csv=*/true);
+  // Dataflow::Run rejects it before any stage runs, on either source.
+  knobs = Knobs{};
+  knobs.options.execution.io_buffer_bytes = 0;
+  expect_invalid(knobs, "io_buffer_bytes", /*from_csv=*/false);
+  expect_invalid(knobs, "io_buffer_bytes", /*from_csv=*/true);
 }
 
 TEST(PipelineTest, EmptyInputRejected) {
-  ErPipeline pipeline(ErPipelineConfig{});
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
-  EXPECT_TRUE(pipeline.Deduplicate({}, blocking, matcher)
-                  .status()
-                  .IsInvalidArgument());
+  const std::vector<er::Entity> empty;
+  Dataflow df;
+  df.Emplace<EntitySourceStage>("source", kDatasetPartitions, &empty, 4);
+  ASSERT_TRUE(AddStandardGraph(&df, StandardGraphOptions{}, &blocking,
+                               &matcher)
+                  .ok());
+  EXPECT_TRUE(RunGraph(&df).status().IsInvalidArgument());
 }
 
 TEST(PipelineTest, MissingKeyErrorByDefault) {
@@ -259,9 +252,10 @@ TEST(PipelineTest, MissingKeyErrorByDefault) {
   entities.push_back(no_title);
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
-  ErPipelineConfig cfg;  // missing_key_policy = kError
-  ErPipeline pipeline(cfg);
-  EXPECT_FALSE(pipeline.Deduplicate(entities, blocking, matcher).ok());
+  // StandardGraphOptions::missing_key_policy defaults to kError.
+  EXPECT_FALSE(RunStandardGraph(DataflowOptions{}, StandardGraphOptions{},
+                                OneSource(entities, 4), blocking, matcher)
+                   .ok());
 }
 
 TEST(PipelineTest, DeduplicateWithMissingKeysComparesBottomAgainstAll) {
@@ -286,16 +280,17 @@ TEST(PipelineTest, DeduplicateWithMissingKeysComparesBottomAgainstAll) {
   // exactly the evaluated candidate set.
   er::LambdaMatcher accept_all(
       [](const er::Entity&, const er::Entity&) { return true; }, "all");
-  ErPipelineConfig cfg;
-  cfg.num_map_tasks = 2;
-  cfg.num_reduce_tasks = 3;
-  ErPipeline pipeline(cfg);
-  auto result =
-      DeduplicateWithMissingKeys(pipeline, entities, blocking, accept_all);
+  Dataflow df;
+  const StandardGraphOptions graph =
+      GraphOptions(lb::StrategyKind::kBlockSplit, 3);
+  ASSERT_TRUE(AddMissingKeyDedupGraph(&df, graph, /*num_map_tasks=*/2,
+                                      entities, &blocking, &accept_all)
+                  .ok());
+  auto result = RunGraph(&df);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Blocked pairs: (1,2), (3,4). Unkeyed 5,6 vs all: (5,1..4,6) = 5 pairs
   // + (6,1..4) = 4. Total 2 + 9 = 11.
-  EXPECT_EQ(result->size(), 11u);
+  EXPECT_EQ(result->matches.size(), 11u);
 }
 
 TEST(PipelineTest, LinkWithMissingKeysFollowsAppendixDecomposition) {
@@ -312,17 +307,19 @@ TEST(PipelineTest, LinkWithMissingKeysFollowsAppendixDecomposition) {
   er::PrefixBlocking blocking(0, 3);
   er::LambdaMatcher accept_all(
       [](const er::Entity&, const er::Entity&) { return true; }, "all");
-  ErPipelineConfig cfg;
-  cfg.num_map_tasks = 2;
-  cfg.num_reduce_tasks = 2;
-  ErPipeline pipeline(cfg);
-  auto result = LinkWithMissingKeys(pipeline, r_entities, s_entities,
-                                    blocking, accept_all);
+  Dataflow df;
+  const StandardGraphOptions graph =
+      GraphOptions(lb::StrategyKind::kBlockSplit, 2);
+  ASSERT_TRUE(AddMissingKeyLinkGraph(&df, graph, /*num_map_tasks=*/2,
+                                     r_entities, s_entities, &blocking,
+                                     &accept_all)
+                  .ok());
+  auto result = RunGraph(&df);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // match_B(R−R∅, S−S∅): (1,11).
   // match_⊥(R, S∅): {1,2,3} × {12,13} = 6 pairs.
   // match_⊥(R∅, S−S∅): {3} × {11} = 1 pair.
-  EXPECT_EQ(result->size(), 8u);
+  EXPECT_EQ(result->matches.size(), 8u);
 }
 
 TEST(PipelineTest, PartitionCountDoesNotChangeResult) {
@@ -331,12 +328,9 @@ TEST(PipelineTest, PartitionCountDoesNotChangeResult) {
   er::EditDistanceMatcher matcher(0.8);
   er::MatchResult first;
   for (uint32_t m : {1u, 2u, 5u, 11u}) {
-    ErPipelineConfig cfg;
-    cfg.strategy = lb::StrategyKind::kPairRange;
-    cfg.num_map_tasks = m;
-    cfg.num_reduce_tasks = 6;
-    ErPipeline pipeline(cfg);
-    auto result = pipeline.Deduplicate(entities, blocking, matcher);
+    auto result = RunStandardGraph(
+        DataflowOptions{}, GraphOptions(lb::StrategyKind::kPairRange, 6),
+        OneSource(entities, m), blocking, matcher);
     ASSERT_TRUE(result.ok());
     if (m == 1) {
       first = result->matches;

@@ -76,7 +76,7 @@ TEST_P(OneSourceDifferentialTest, ExecutionHonorsPlanExactly) {
   er::Partitions parts = er::SplitIntoPartitions(*entities, p.m);
   auto run = RunWithPlan(p.strategy, parts, blocking, matcher, p.r);
   ExpectPlanMatchesExecution(
-      run, std::string(lb::StrategyName(p.strategy)) + " m=" +
+      run, std::string(lb::StrategyKindToName(p.strategy)) + " m=" +
                std::to_string(p.m) + " r=" + std::to_string(p.r));
 }
 
@@ -98,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, OneSourceDifferentialTest, ::testing::ValuesIn(MakeDiffSweep()),
     [](const ::testing::TestParamInfo<DiffParam>& info) {
       const auto& p = info.param;
-      return std::string(lb::StrategyName(p.strategy)) + "_m" +
+      return std::string(lb::StrategyKindToName(p.strategy)) + "_m" +
              std::to_string(p.m) + "_r" + std::to_string(p.r) + "_s" +
              std::to_string(static_cast<int>(p.skew * 10));
     });
@@ -114,7 +114,7 @@ TEST_P(TwoSourceDifferentialTest, PaperAppendixExample) {
   auto tags = PaperTwoSourceTags();
   auto run = RunWithPlan(kind, PaperTwoSourcePartitions(), blocking,
                          matcher, r, 4, &tags);
-  ExpectPlanMatchesExecution(run, std::string(lb::StrategyName(kind)) +
+  ExpectPlanMatchesExecution(run, std::string(lb::StrategyKindToName(kind)) +
                                       " two-source r=" + std::to_string(r));
 }
 
@@ -149,7 +149,7 @@ TEST_P(TwoSourceDifferentialTest, GeneratedLinkage) {
     tags.push_back(er::Source::kS);
   }
   auto run = RunWithPlan(kind, parts, blocking, matcher, r, 4, &tags);
-  ExpectPlanMatchesExecution(run, std::string(lb::StrategyName(kind)) +
+  ExpectPlanMatchesExecution(run, std::string(lb::StrategyKindToName(kind)) +
                                       " linkage r=" + std::to_string(r));
 }
 
@@ -160,7 +160,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          StrategyKind::kPairRange),
                        ::testing::Values(1u, 3u, 9u)),
     [](const auto& info) {
-      return std::string(lb::StrategyName(std::get<0>(info.param))) + "_r" +
+      return std::string(lb::StrategyKindToName(std::get<0>(info.param))) + "_r" +
              std::to_string(std::get<1>(info.param));
     });
 

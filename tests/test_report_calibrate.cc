@@ -2,8 +2,9 @@
 
 #include <cmath>
 
-#include "core/pipeline.h"
+#include "core/dataflow.h"
 #include "core/report.h"
+#include "core/stages.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
 #include "gen/product_gen.h"
@@ -22,42 +23,50 @@ std::vector<er::Entity> Products(uint64_t n, uint64_t seed = 1) {
   return *e;
 }
 
-TEST(ReportTest, ContainsKeySections) {
-  auto entities = Products(500);
+/// The text report of one standard-graph run over `entities`.
+std::string StandardGraphReport(const std::vector<er::Entity>& entities,
+                                lb::StrategyKind strategy, uint32_t m,
+                                uint32_t r) {
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
-  core::ErPipelineConfig cfg;
-  cfg.strategy = lb::StrategyKind::kBlockSplit;
-  cfg.num_map_tasks = 2;
-  cfg.num_reduce_tasks = 4;
-  core::ErPipeline pipeline(cfg);
-  auto result = pipeline.Deduplicate(entities, blocking, matcher);
-  ASSERT_TRUE(result.ok());
+  core::StandardGraphOptions graph;
+  graph.strategy = strategy;
+  graph.num_reduce_tasks = r;
+  core::Dataflow df;
+  df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                      &entities, m);
+  EXPECT_TRUE(core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
+  auto report = df.Run();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? core::FormatDataflowReport(*report) : "";
+}
 
-  std::string report = core::FormatRunReport(*result, cfg);
+TEST(ReportTest, ContainsKeySections) {
+  auto entities = Products(500);
+  std::string report =
+      StandardGraphReport(entities, lb::StrategyKind::kBlockSplit, 2, 4);
   EXPECT_NE(report.find("BlockSplit"), std::string::npos);
-  EXPECT_NE(report.find("Job 1 (BDM)"), std::string::npos);
-  EXPECT_NE(report.find("Job 2 (matching)"), std::string::npos);
-  EXPECT_NE(report.find("Comparisons:"), std::string::npos);
-  EXPECT_NE(report.find("straggler ratio"), std::string::npos);
-
-  std::string summary = core::FormatRunSummary(*result, cfg);
-  EXPECT_NE(summary.find("comparisons"), std::string::npos);
-  EXPECT_NE(summary.find("matches"), std::string::npos);
+  EXPECT_NE(report.find("bdm [bdm]"), std::string::npos);
+  EXPECT_NE(report.find("match [match]"), std::string::npos);
+  EXPECT_NE(report.find("comparisons"), std::string::npos);
+  // The per-phase task line sits under each job stage: BDM and matching.
+  EXPECT_NE(report.find("    map: 2 tasks"), std::string::npos);
+  EXPECT_NE(report.find("    reduce: 4 tasks"), std::string::npos);
+  size_t stragglers = 0;
+  for (size_t at = report.find("straggler ratio"); at != std::string::npos;
+       at = report.find("straggler ratio", at + 1)) {
+    ++stragglers;
+  }
+  EXPECT_EQ(stragglers, 4u) << report;  // map + reduce for both jobs
 }
 
 TEST(ReportTest, BasicRunOmitsBdmSection) {
   auto entities = Products(300, 2);
-  er::PrefixBlocking blocking(0, 3);
-  er::EditDistanceMatcher matcher(0.8);
-  core::ErPipelineConfig cfg;
-  cfg.strategy = lb::StrategyKind::kBasic;
-  core::ErPipeline pipeline(cfg);
-  auto result = pipeline.Deduplicate(entities, blocking, matcher);
-  ASSERT_TRUE(result.ok());
-  std::string report = core::FormatRunReport(*result, cfg);
-  EXPECT_EQ(report.find("Job 1 (BDM)"), std::string::npos);
-  EXPECT_NE(report.find("Basic"), std::string::npos);
+  std::string report =
+      StandardGraphReport(entities, lb::StrategyKind::kBasic, 4, 8);
+  EXPECT_EQ(report.find("[bdm]"), std::string::npos);
+  EXPECT_NE(report.find("[basic_match]"), std::string::npos);
+  EXPECT_NE(report.find("straggler ratio"), std::string::npos);
 }
 
 TEST(CalibrateTest, ProducesPlausibleCosts) {

@@ -29,13 +29,11 @@ using testing_util::RunStrategy;
 // StrategyKindToName / StrategyKindFromName are exact inverses — the
 // single spelling shared by CLI parsing, reports, and plan JSON.
 TEST(StrategyNameTest, ToNameFromNameRoundTrips) {
-  for (StrategyKind kind : lb::AllStrategies()) {
+  for (StrategyKind kind : lb::AllStrategyKinds()) {
     const char* name = lb::StrategyKindToName(kind);
     auto parsed = lb::StrategyKindFromName(name);
     ASSERT_TRUE(parsed.ok()) << name;
     EXPECT_EQ(*parsed, kind) << name;
-    // StrategyName stays as an alias of the canonical spelling.
-    EXPECT_STREQ(lb::StrategyName(kind), name);
   }
 }
 
@@ -107,7 +105,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PaperExampleStrategyTest,
                                            StrategyKind::kBlockSplit,
                                            StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 TEST(BlockSplitPaperTest, Emits19KeyValuePairs) {
@@ -149,16 +147,17 @@ TEST(PairRangePaperTest, PlanReduceInputsMatchFigure7) {
   auto strategy = lb::MakeStrategy(StrategyKind::kPairRange);
   lb::MatchJobOptions options;
   options.num_reduce_tasks = 3;
-  auto plan = strategy->Plan(run.bdm, options);
+  auto plan = strategy->BuildPlan(run.bdm, options);
   ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan->input_records_per_reduce_task.size(), 3u);
-  EXPECT_EQ(plan->input_records_per_reduce_task[0], 6u);  // Φ0 + Φ1
-  EXPECT_EQ(plan->input_records_per_reduce_task[1], 8u);  // Φ2 + all of Φ3
-  EXPECT_EQ(plan->input_records_per_reduce_task[2], 4u);  // Φ3 minus F
+  ASSERT_EQ(plan->stats().input_records_per_reduce_task.size(), 3u);
+  EXPECT_EQ(plan->stats().input_records_per_reduce_task[0], 6u);  // Φ0 + Φ1
+  // Φ2 + all of Φ3
+  EXPECT_EQ(plan->stats().input_records_per_reduce_task[1], 8u);
+  EXPECT_EQ(plan->stats().input_records_per_reduce_task[2], 4u);  // Φ3 minus F
   // Ranges sized 7,7,6 (P=20, r=3).
-  EXPECT_EQ(plan->comparisons_per_reduce_task[0], 7u);
-  EXPECT_EQ(plan->comparisons_per_reduce_task[1], 7u);
-  EXPECT_EQ(plan->comparisons_per_reduce_task[2], 6u);
+  EXPECT_EQ(plan->stats().comparisons_per_reduce_task[0], 7u);
+  EXPECT_EQ(plan->stats().comparisons_per_reduce_task[1], 7u);
+  EXPECT_EQ(plan->stats().comparisons_per_reduce_task[2], 6u);
 }
 
 // ---------------------------------------------------------------------
@@ -195,7 +194,7 @@ TEST_P(StrategyEquivalenceTest, MatchesReferenceResult) {
   er::Partitions parts = er::SplitIntoPartitions(*entities, p.m);
   auto run = RunStrategy(p.strategy, parts, blocking, matcher, p.r);
   EXPECT_TRUE(run.matches.SameAs(reference))
-      << lb::StrategyName(p.strategy) << " m=" << p.m << " r=" << p.r
+      << lb::StrategyKindToName(p.strategy) << " m=" << p.m << " r=" << p.r
       << " skew=" << p.skew << ": got " << run.matches.size()
       << " pairs, want " << reference.size();
 
@@ -224,7 +223,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, StrategyEquivalenceTest, ::testing::ValuesIn(MakeSweep()),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       const auto& p = info.param;
-      return std::string(lb::StrategyName(p.strategy)) + "_m" +
+      return std::string(lb::StrategyKindToName(p.strategy)) + "_m" +
              std::to_string(p.m) + "_r" + std::to_string(p.r) + "_s" +
              std::to_string(static_cast<int>(p.skew * 10));
     });
@@ -291,7 +290,7 @@ TEST_P(TwoSourceStrategyTest, MatchesReferenceLinkOnGeneratedData) {
   }
   auto run = RunStrategy(kind, parts, blocking, matcher, r, 4, &tags);
   EXPECT_TRUE(run.matches.SameAs(reference))
-      << lb::StrategyName(kind) << " r=" << r << ": got "
+      << lb::StrategyKindToName(kind) << " r=" << r << ": got "
       << run.matches.size() << " want " << reference.size();
 }
 
@@ -302,7 +301,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          StrategyKind::kPairRange),
                        ::testing::Values(1u, 3u, 5u, 17u)),
     [](const auto& info) {
-      return std::string(lb::StrategyName(std::get<0>(info.param))) + "_r" +
+      return std::string(lb::StrategyKindToName(std::get<0>(info.param))) + "_r" +
              std::to_string(std::get<1>(info.param));
     });
 
@@ -343,16 +342,16 @@ TEST_P(PlanConsistencyTest, PlannedCountsMatchExecution) {
   auto strategy = lb::MakeStrategy(GetParam());
   lb::MatchJobOptions options;
   options.num_reduce_tasks = r;
-  auto plan = strategy->Plan(bdm, options);
+  auto plan = strategy->BuildPlan(bdm, options);
   ASSERT_TRUE(plan.ok());
 
-  EXPECT_EQ(plan->total_comparisons,
+  EXPECT_EQ(plan->stats().total_comparisons,
             static_cast<uint64_t>(run.comparisons));
-  EXPECT_EQ(plan->TotalMapOutputPairs(),
+  EXPECT_EQ(plan->stats().TotalMapOutputPairs(),
             static_cast<uint64_t>(run.map_output_pairs));
   uint64_t planned_sum = 0;
-  for (uint64_t c : plan->comparisons_per_reduce_task) planned_sum += c;
-  EXPECT_EQ(planned_sum, plan->total_comparisons);
+  for (uint64_t c : plan->stats().comparisons_per_reduce_task) planned_sum += c;
+  EXPECT_EQ(planned_sum, plan->stats().total_comparisons);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, PlanConsistencyTest,
@@ -360,7 +359,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PlanConsistencyTest,
                                            StrategyKind::kBlockSplit,
                                            StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 // BlockSplit on sorted input still covers everything (Figure 11's setup).

@@ -26,11 +26,14 @@ classified:
     meaningful across differing CI hardware.
   * entries with "value"        — informational only (peak RSS etc.).
 
-Entries present on only one side are reported but never fail the gate
-(renames would otherwise break every PR that adds a benchmark). The
-markdown summary is written to --summary and, when the environment
-provides it, appended to $GITHUB_STEP_SUMMARY. Exit code 1 iff any gated
-entry regressed.
+An entry only the current run has is new: it is reported and never
+gates. A baseline entry the current run lacks fails the gate whenever it
+would have been gated — every ratio entry, and every time entry unless
+the pair is `:ratios` — so a renamed or deleted benchmark cannot leave
+the gate silently; informational entries may disappear. The markdown
+summary is written to --summary and, when the environment provides it,
+appended to $GITHUB_STEP_SUMMARY. Exit code 1 iff any gated entry
+regressed or went missing.
 """
 
 import argparse
@@ -70,10 +73,17 @@ def compare_documents(baseline, current, threshold, ratios_only=False):
     for name in sorted(set(baseline) | set(current)):
         b = baseline.get(name)
         c = current.get(name)
-        if b is None or c is None:
-            rows.append((name, "missing", b, c, None, "skipped"))
+        if b is None:
+            rows.append((name, "missing", b, c, None, "new"))
             continue
         kind = classify(b)
+        if c is None:
+            gated = kind == "ratio" or (kind == "time" and not ratios_only)
+            verdict = "MISSING" if gated else "skipped"
+            rows.append((name, "missing", b, c, None, verdict))
+            if gated:
+                regressions.append(name)
+            continue
         if kind != classify(c):
             rows.append((name, "mismatch", b, c, None, "skipped"))
             continue
@@ -126,10 +136,12 @@ def render_markdown(title, rows, threshold):
     ]
     for name, kind, bv, cv, delta, verdict in rows:
         if kind in ("missing", "mismatch"):
-            lines.append(f"| `{name}` | {kind} | — | — | — | {verdict} |")
+            mark = " ❌" if verdict == "MISSING" else ""
+            lines.append(
+                f"| `{name}` | {kind} | — | — | — | {verdict}{mark} |")
             continue
         delta_str = "—" if delta is None else f"{delta:+.1%}"
-        mark = "❌" if verdict == "REGRESSION" else ""
+        mark = "❌" if verdict in ("REGRESSION", "MISSING") else ""
         lines.append(
             f"| `{name}` | {kind} | {format_value(kind, bv)} | "
             f"{format_value(kind, cv)} | {delta_str} | {verdict} {mark} |"
@@ -152,18 +164,21 @@ def run_compare(pairs, threshold, summary_path):
         all_markdown.append(render_markdown(title, rows, threshold))
         all_regressions.extend(f"{title}: {name}" for name in regressions)
         print(f"-- {title}: {len(rows)} entries, "
-              f"{len(regressions)} regression(s)")
+              f"{len(regressions)} regression(s) or missing")
         for name, kind, bv, cv, delta, verdict in rows:
             if verdict == "REGRESSION":
                 print(f"   REGRESSION {name}: baseline "
                       f"{format_value(kind, bv)} -> current "
                       f"{format_value(kind, cv)} ({delta:+.1%})")
+            elif verdict == "MISSING":
+                print(f"   MISSING {name}: gated baseline entry absent "
+                      "from the current run")
 
     markdown = "\n".join(all_markdown)
     if all_regressions:
         markdown += (
-            f"\n**{len(all_regressions)} benchmark regression(s) beyond "
-            f"the {threshold:.0%} gate.**\n"
+            f"\n**{len(all_regressions)} gated benchmark(s) regressed "
+            f"beyond the {threshold:.0%} gate or went missing.**\n"
         )
     else:
         markdown += "\nAll gated benchmarks within threshold. ✅\n"
@@ -220,15 +235,33 @@ def selftest():
     rows, regs = compare_documents(baseline, bad_ratio, 0.25)
     assert "ratio" in regs, regs
 
-    # New/removed benchmarks are reported but do not gate.
+    # A new benchmark is reported but does not gate.
     extra = dict(drift)
     extra["brand_new"] = {"name": "brand_new", "nanos_per_op": 1.0}
-    del extra["fast"]
     rows, regs = compare_documents(baseline, extra, 0.25)
     assert not regs, regs
-    kinds = {name: kind for name, kind, *_ in rows}
-    assert kinds["brand_new"] == "missing"
-    assert kinds["fast"] == "missing"
+    verdicts = {name: (kind, verdict) for name, kind, _, _, _, verdict in rows}
+    assert verdicts["brand_new"] == ("missing", "new"), verdicts
+
+    # A removed benchmark fails the gate whenever it would have gated:
+    # time entries (unless ratios_only) and ratio entries always.
+    # Informational entries may disappear.
+    removed = dict(drift)
+    del removed["fast"]
+    del removed["rss"]
+    rows, regs = compare_documents(baseline, removed, 0.25)
+    assert regs == ["fast"], regs
+    verdicts = {name: (kind, verdict) for name, kind, _, _, _, verdict in rows}
+    assert verdicts["fast"] == ("missing", "MISSING"), verdicts
+    assert verdicts["rss"] == ("missing", "skipped"), verdicts
+    rows, regs = compare_documents(baseline, removed, 0.25, ratios_only=True)
+    assert not regs, regs
+    no_ratio = dict(drift)
+    del no_ratio["ratio"]
+    for ratios_only in (False, True):
+        rows, regs = compare_documents(baseline, no_ratio, 0.25,
+                                       ratios_only=ratios_only)
+        assert regs == ["ratio"], regs
 
     # ratios_only: absolute-time regressions are demoted to info, but a
     # collapsed ratio still fails.
@@ -238,9 +271,11 @@ def selftest():
                                    ratios_only=True)
     assert regs == ["ratio"], regs
 
-    # Markdown renders without blowing up.
+    # Markdown renders without blowing up, missing rows included.
+    rows, regs = compare_documents(baseline, removed, 0.25)
     md = render_markdown("selftest", rows, 0.25)
     assert "benchmark" in md
+    assert "MISSING" in md
     print("bench_compare selftest passed")
     return 0
 
