@@ -82,7 +82,7 @@ int main() {
     // The appendix decomposition handles them via the constant key ⊥.
     core::Dataflow full;
     Status full_status = core::AddMissingKeyLinkGraph(
-        &full, graph, num_map_tasks, *catalog, offers, &blocking, &matcher);
+        &full, graph, num_map_tasks, &*catalog, &offers, &blocking, &matcher);
     if (full_status.ok()) full_status = full.Run().status();
     auto linked = full_status.ok()
                       ? full.Get<er::MatchResult>(core::kDatasetMatches)

@@ -275,33 +275,62 @@ Status UnionMatchesStage::Run(DataflowContext* ctx) {
 
 // ---- Graph builders -------------------------------------------------------
 
-Result<PartitionedEntities> LinkagePartitions(
+namespace {
+
+/// LinkagePartitions over the entities of `r_entities` and `s_entities`
+/// that pass `r_keep` and `s_keep` (a null filter admits every entity).
+/// Each admitted entity is copied once, straight into its tagged ref.
+Result<PartitionedEntities> FilteredLinkagePartitions(
     const std::vector<er::Entity>& r_entities,
-    const std::vector<er::Entity>& s_entities, uint32_t num_map_tasks) {
-  if (r_entities.empty() || s_entities.empty()) {
+    const EntitySourceStage::Filter& r_keep,
+    const std::vector<er::Entity>& s_entities,
+    const EntitySourceStage::Filter& s_keep, uint32_t num_map_tasks) {
+  if (num_map_tasks == 0) {
+    return Status::InvalidArgument("num_map_tasks must be >= 1");
+  }
+  auto tagged = [](const std::vector<er::Entity>& entities,
+                   const EntitySourceStage::Filter& keep, er::Source source) {
+    std::vector<er::EntityRef> refs;
+    for (const auto& e : entities) {
+      if (keep != nullptr && !keep(e)) continue;
+      er::Entity copy = e;
+      copy.source = source;
+      refs.push_back(er::MakeEntityRef(std::move(copy)));
+    }
+    return refs;
+  };
+  const std::vector<er::EntityRef> r =
+      tagged(r_entities, r_keep, er::Source::kR);
+  const std::vector<er::EntityRef> s =
+      tagged(s_entities, s_keep, er::Source::kS);
+  if (r.empty() || s.empty()) {
     return Status::InvalidArgument("both sources must be non-empty");
   }
   // Proportional split of m between the sources, at least one each.
   const uint32_t m = std::max(num_map_tasks, 2u);
-  const double nr = static_cast<double>(r_entities.size());
-  const double total = nr + static_cast<double>(s_entities.size());
+  const double nr = static_cast<double>(r.size());
+  const double total = nr + static_cast<double>(s.size());
   const uint32_t r_tasks = std::clamp<uint32_t>(
       static_cast<uint32_t>(m * (nr / total) + 0.5), 1, m - 1);
   const uint32_t s_tasks = m - r_tasks;
 
-  std::vector<er::Entity> tagged_r = r_entities;
-  for (auto& e : tagged_r) e.source = er::Source::kR;
-  std::vector<er::Entity> tagged_s = s_entities;
-  for (auto& e : tagged_s) e.source = er::Source::kS;
-
   PartitionedEntities out;
-  out.partitions = er::SplitIntoPartitions(tagged_r, r_tasks);
+  out.partitions = er::SplitRefsIntoPartitions(r, r_tasks);
   out.sources.assign(r_tasks, er::Source::kR);
-  for (auto& p : er::SplitIntoPartitions(tagged_s, s_tasks)) {
+  for (auto& p : er::SplitRefsIntoPartitions(s, s_tasks)) {
     out.partitions.push_back(std::move(p));
     out.sources.push_back(er::Source::kS);
   }
   return out;
+}
+
+}  // namespace
+
+Result<PartitionedEntities> LinkagePartitions(
+    const std::vector<er::Entity>& r_entities,
+    const std::vector<er::Entity>& s_entities, uint32_t num_map_tasks) {
+  return FilteredLinkagePartitions(r_entities, nullptr, s_entities, nullptr,
+                                   num_map_tasks);
 }
 
 Status AddStandardGraph(Dataflow* df, const StandardGraphOptions& options,
@@ -413,14 +442,28 @@ class EarlierPassSuppressingMatcher : public er::Matcher {
 
 }  // namespace
 
+namespace {
+
+/// Composes one term of a union composition: a standard subgraph under
+/// `prefix`, reading `prefix + kDatasetPartitions`, whose matches dataset
+/// is appended to `terms` for the closing UnionMatchesStage.
+Status AddUnionTerm(Dataflow* df, const StandardGraphOptions& options,
+                    const er::BlockingFunction* blocking,
+                    const er::Matcher* matcher, const std::string& prefix,
+                    std::vector<std::string>* terms) {
+  ERLB_RETURN_NOT_OK(AddStandardGraph(df, options, blocking, matcher, prefix));
+  terms->push_back(prefix + kDatasetMatches);
+  return Status::OK();
+}
+
+}  // namespace
+
 Status AddMultiPassGraph(Dataflow* df, const StandardGraphOptions& options,
                          uint32_t num_map_tasks,
                          const std::vector<er::Entity>* entities,
                          const std::vector<const er::BlockingFunction*>* passes,
                          const er::Matcher* matcher,
-                         std::atomic<int64_t>* suppressed,
-                         const std::string& out_matches,
-                         const std::string& name_prefix) {
+                         std::atomic<int64_t>* suppressed) {
   if (passes->empty()) {
     return Status::InvalidArgument("need at least one blocking pass");
   }
@@ -442,8 +485,8 @@ Status AddMultiPassGraph(Dataflow* df, const StandardGraphOptions& options,
     }
     if (!any_keyed) continue;
 
-    const std::string prefix =
-        name_prefix + "pass" + std::to_string(p) + "/";
+    const std::string index = std::to_string(p);
+    const std::string prefix = "pass" + index + "/";
     df->Emplace<EntitySourceStage>(
         prefix + "source", prefix + kDatasetPartitions, entities,
         num_map_tasks, [pass](const er::Entity& e) {
@@ -453,78 +496,87 @@ Status AddMultiPassGraph(Dataflow* df, const StandardGraphOptions& options,
         df->Own(std::make_unique<EarlierPassSuppressingMatcher>(
             passes, p, matcher, suppressed));
     ERLB_RETURN_NOT_OK(
-        AddStandardGraph(df, options, pass, wrapped, prefix));
-    pass_outputs.push_back(prefix + kDatasetMatches);
+        AddUnionTerm(df, options, pass, wrapped, prefix, &pass_outputs));
   }
   if (pass_outputs.empty()) {
     return Status::InvalidArgument("no entity has a valid key in any pass");
   }
-  df->Emplace<UnionMatchesStage>(name_prefix + "union",
-                                 std::move(pass_outputs), out_matches);
+  df->Emplace<UnionMatchesStage>("union", std::move(pass_outputs),
+                                 kDatasetMatches);
   return Status::OK();
 }
 
 namespace {
 
-/// Splits `entities` into (with-key, without-key) under `blocking`.
-void SplitByKeyValidity(const std::vector<er::Entity>& entities,
-                        const er::BlockingFunction& blocking,
-                        std::vector<er::Entity>* with_key,
-                        std::vector<er::Entity>* without_key) {
-  for (const auto& e : entities) {
-    if (blocking.Key(e).empty()) {
-      without_key->push_back(e);
-    } else {
-      with_key->push_back(e);
-    }
-  }
-}
-
-/// Composes the terms of a missing-key decomposition: one standard
-/// subgraph per (name, input, blocking) term, joined by a union stage.
-class MissingKeyComposer {
+/// Two-source counterpart of EntitySourceStage: lays out the filtered
+/// caller-owned sources as LinkagePartitions does, when it runs — so a
+/// missing-key term's copy of its input is made at its turn in the run,
+/// not while the graph is composed.
+class LinkageSourceStage : public Stage {
  public:
-  MissingKeyComposer(Dataflow* df, const StandardGraphOptions& options,
-                     const er::Matcher* matcher, std::string name_prefix)
-      : df_(df),
-        options_(options),
-        matcher_(matcher),
-        name_prefix_(std::move(name_prefix)),
-        bottom_(df->Own(std::make_unique<er::ConstantBlocking>())) {}
-
-  /// The constant key ⊥: a Cartesian product within the term.
-  const er::BlockingFunction* bottom() const { return bottom_; }
-
-  [[nodiscard]] Status AddTerm(const char* term, PartitionedEntities input,
-                               const er::BlockingFunction* blocking) {
-    const std::string prefix = name_prefix_ + term + "/";
-    ERLB_RETURN_NOT_OK(df_->AddInput(prefix + kDatasetPartitions,
-                                     Dataset(std::move(input))));
-    ERLB_RETURN_NOT_OK(
-        AddStandardGraph(df_, options_, blocking, matcher_, prefix));
-    term_outputs_.push_back(prefix + kDatasetMatches);
-    return Status::OK();
+  LinkageSourceStage(std::string name, std::string out_partitions,
+                     const std::vector<er::Entity>* r_entities,
+                     EntitySourceStage::Filter r_keep,
+                     const std::vector<er::Entity>* s_entities,
+                     EntitySourceStage::Filter s_keep,
+                     uint32_t num_map_tasks)
+      : Stage(std::move(name)),
+        out_(std::move(out_partitions)),
+        r_entities_(r_entities),
+        r_keep_(std::move(r_keep)),
+        s_entities_(s_entities),
+        s_keep_(std::move(s_keep)),
+        num_map_tasks_(num_map_tasks) {
+    DeclareOutput(out_);
   }
+  const char* kind() const override { return "linkage_source"; }
 
-  void Finish(const std::string& out_matches) {
-    df_->Emplace<UnionMatchesStage>(name_prefix_ + "union",
-                                    std::move(term_outputs_), out_matches);
+  [[nodiscard]] Status Run(DataflowContext* ctx) override {
+    ERLB_ASSIGN_OR_RETURN(
+        PartitionedEntities out,
+        FilteredLinkagePartitions(*r_entities_, r_keep_, *s_entities_,
+                                  s_keep_, num_map_tasks_));
+    uint64_t records = 0;
+    for (const auto& p : out.partitions) records += p.size();
+    ctx->report().output_records = records;
+    return ctx->Out(out_, Dataset(std::move(out)));
   }
 
  private:
-  Dataflow* df_;
-  const StandardGraphOptions& options_;
-  const er::Matcher* matcher_;
-  std::string name_prefix_;
-  const er::BlockingFunction* bottom_;
-  std::vector<std::string> term_outputs_;
+  std::string out_;
+  const std::vector<er::Entity>* r_entities_;
+  EntitySourceStage::Filter r_keep_;
+  const std::vector<er::Entity>* s_entities_;
+  EntitySourceStage::Filter s_keep_;
+  uint32_t num_map_tasks_;
 };
 
-PartitionedEntities OneSource(const std::vector<er::Entity>& entities,
-                              uint32_t num_map_tasks) {
-  PartitionedEntities out;
-  out.partitions = er::SplitIntoPartitions(entities, num_map_tasks);
-  return out;
+/// The key-validity filters of a missing-key decomposition under
+/// `blocking`, and how many of `entities` each admits.
+struct KeySplit {
+  EntitySourceStage::Filter keyed;
+  EntitySourceStage::Filter unkeyed;
+  size_t num_keyed = 0;
+  size_t num_unkeyed = 0;
+};
+
+KeySplit SplitByKeyValidity(const std::vector<er::Entity>& entities,
+                            const er::BlockingFunction* blocking) {
+  KeySplit split;
+  split.keyed = [blocking](const er::Entity& e) {
+    return !blocking->Key(e).empty();
+  };
+  split.unkeyed = [blocking](const er::Entity& e) {
+    return blocking->Key(e).empty();
+  };
+  for (const auto& e : entities) {
+    if (split.keyed(e)) {
+      ++split.num_keyed;
+    } else {
+      ++split.num_unkeyed;
+    }
+  }
+  return split;
 }
 
 }  // namespace
@@ -532,71 +584,88 @@ PartitionedEntities OneSource(const std::vector<er::Entity>& entities,
 Status AddMissingKeyDedupGraph(Dataflow* df,
                                const StandardGraphOptions& options,
                                uint32_t num_map_tasks,
-                               const std::vector<er::Entity>& entities,
+                               const std::vector<er::Entity>* entities,
                                const er::BlockingFunction* blocking,
-                               const er::Matcher* matcher,
-                               const std::string& out_matches,
-                               const std::string& name_prefix) {
+                               const er::Matcher* matcher) {
   if (num_map_tasks == 0) {
     return Status::InvalidArgument("num_map_tasks must be >= 1");
   }
-  std::vector<er::Entity> keyed, unkeyed;
-  SplitByKeyValidity(entities, *blocking, &keyed, &unkeyed);
-
-  MissingKeyComposer composer(df, options, matcher, name_prefix);
-  if (!keyed.empty()) {
+  const KeySplit split = SplitByKeyValidity(*entities, blocking);
+  // The constant key ⊥: a Cartesian product within the term.
+  const er::BlockingFunction* bottom =
+      df->Own(std::make_unique<er::ConstantBlocking>());
+  std::vector<std::string> terms;
+  auto add_one_source = [&](const std::string& prefix,
+                            const EntitySourceStage::Filter& keep,
+                            const er::BlockingFunction* term_blocking) {
+    df->Emplace<EntitySourceStage>(prefix + "source",
+                                   prefix + kDatasetPartitions, entities,
+                                   num_map_tasks, keep);
+    return AddUnionTerm(df, options, term_blocking, matcher, prefix, &terms);
+  };
+  if (split.num_keyed > 0) {
     // match_B(R−R∅)
-    ERLB_RETURN_NOT_OK(composer.AddTerm(
-        "keyed", OneSource(keyed, num_map_tasks), blocking));
+    ERLB_RETURN_NOT_OK(add_one_source("keyed/", split.keyed, blocking));
   }
-  if (!keyed.empty() && !unkeyed.empty()) {
+  if (split.num_keyed > 0 && split.num_unkeyed > 0) {
     // match_⊥(R−R∅, R∅)
-    ERLB_ASSIGN_OR_RETURN(PartitionedEntities cross,
-                          LinkagePartitions(keyed, unkeyed, num_map_tasks));
-    ERLB_RETURN_NOT_OK(composer.AddTerm("keyed_x_unkeyed", std::move(cross),
-                                        composer.bottom()));
+    const std::string prefix = "keyed_x_unkeyed/";
+    df->Emplace<LinkageSourceStage>(prefix + "source",
+                                    prefix + kDatasetPartitions, entities,
+                                    split.keyed, entities, split.unkeyed,
+                                    num_map_tasks);
+    ERLB_RETURN_NOT_OK(
+        AddUnionTerm(df, options, bottom, matcher, prefix, &terms));
   }
-  if (unkeyed.size() >= 2) {
+  if (split.num_unkeyed >= 2) {
     // match_⊥(R∅)
-    ERLB_RETURN_NOT_OK(composer.AddTerm(
-        "unkeyed", OneSource(unkeyed, num_map_tasks), composer.bottom()));
+    ERLB_RETURN_NOT_OK(add_one_source("unkeyed/", split.unkeyed, bottom));
   }
-  composer.Finish(out_matches);
+  df->Emplace<UnionMatchesStage>("union", std::move(terms), kDatasetMatches);
   return Status::OK();
 }
 
 Status AddMissingKeyLinkGraph(Dataflow* df,
                               const StandardGraphOptions& options,
                               uint32_t num_map_tasks,
-                              const std::vector<er::Entity>& r_entities,
-                              const std::vector<er::Entity>& s_entities,
+                              const std::vector<er::Entity>* r_entities,
+                              const std::vector<er::Entity>* s_entities,
                               const er::BlockingFunction* blocking,
-                              const er::Matcher* matcher,
-                              const std::string& out_matches,
-                              const std::string& name_prefix) {
-  std::vector<er::Entity> r_keyed, r_unkeyed, s_keyed, s_unkeyed;
-  SplitByKeyValidity(r_entities, *blocking, &r_keyed, &r_unkeyed);
-  SplitByKeyValidity(s_entities, *blocking, &s_keyed, &s_unkeyed);
-
-  MissingKeyComposer composer(df, options, matcher, name_prefix);
-  auto add_linkage = [&](const char* term, const std::vector<er::Entity>& r,
-                         const std::vector<er::Entity>& s,
+                              const er::Matcher* matcher) {
+  if (num_map_tasks == 0) {
+    return Status::InvalidArgument("num_map_tasks must be >= 1");
+  }
+  const KeySplit r = SplitByKeyValidity(*r_entities, blocking);
+  const KeySplit s = SplitByKeyValidity(*s_entities, blocking);
+  const er::BlockingFunction* bottom =
+      df->Own(std::make_unique<er::ConstantBlocking>());
+  std::vector<std::string> terms;
+  auto add_linkage = [&](const std::string& prefix,
+                         const EntitySourceStage::Filter& r_keep,
+                         size_t r_count,
+                         const EntitySourceStage::Filter& s_keep,
+                         size_t s_count,
                          const er::BlockingFunction* term_blocking)
       -> Status {
-    if (r.empty() || s.empty()) return Status::OK();
-    ERLB_ASSIGN_OR_RETURN(PartitionedEntities input,
-                          LinkagePartitions(r, s, num_map_tasks));
-    return composer.AddTerm(term, std::move(input), term_blocking);
+    if (r_count == 0 || s_count == 0) return Status::OK();
+    df->Emplace<LinkageSourceStage>(prefix + "source",
+                                    prefix + kDatasetPartitions, r_entities,
+                                    r_keep, s_entities, s_keep,
+                                    num_map_tasks);
+    return AddUnionTerm(df, options, term_blocking, matcher, prefix, &terms);
   };
   // match_B(R−R∅, S−S∅)
-  ERLB_RETURN_NOT_OK(add_linkage("keyed", r_keyed, s_keyed, blocking));
+  ERLB_RETURN_NOT_OK(add_linkage("keyed/", r.keyed, r.num_keyed, s.keyed,
+                                 s.num_keyed, blocking));
   // match_⊥(R, S∅)
-  ERLB_RETURN_NOT_OK(add_linkage("r_x_unkeyed_s", r_entities, s_unkeyed,
-                                 composer.bottom()));
+  ERLB_RETURN_NOT_OK(add_linkage("r_x_unkeyed_s/", nullptr,
+                                 r_entities->size(), s.unkeyed,
+                                 s.num_unkeyed, bottom));
   // match_⊥(R∅, S−S∅)
-  ERLB_RETURN_NOT_OK(add_linkage("unkeyed_r_x_keyed_s", r_unkeyed, s_keyed,
-                                 composer.bottom()));
-  composer.Finish(out_matches);
+  ERLB_RETURN_NOT_OK(add_linkage("unkeyed_r_x_keyed_s/", r.unkeyed,
+                                 r.num_unkeyed, s.keyed, s.num_keyed,
+                                 bottom));
+  df->Emplace<UnionMatchesStage>("union", std::move(terms), kDatasetMatches);
   return Status::OK();
 }
 

@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -230,7 +231,8 @@ struct StandardGraphOptions {
 /// tags every entity of `r_entities` as Source::kR and of `s_entities` as
 /// Source::kS, and splits max(num_map_tasks, 2) map partitions between
 /// the sources proportionally to their sizes (at least one each), R's
-/// partitions first. InvalidArgument if either source is empty.
+/// partitions first. InvalidArgument if either source is empty or
+/// `num_map_tasks` is 0.
 [[nodiscard]] Result<PartitionedEntities> LinkagePartitions(
     const std::vector<er::Entity>& r_entities,
     const std::vector<er::Entity>& s_entities, uint32_t num_map_tasks);
@@ -266,52 +268,43 @@ struct StandardGraphOptions {
     std::shared_ptr<const lb::MatchPlan> prebuilt_plan = nullptr);
 
 /// Composes multi-pass blocking over `passes` as per-pass standard
-/// subgraphs ("<name_prefix>pass<i>/…"), each running over the entities
-/// with a valid key in that pass and a matcher that suppresses pairs
-/// already covered by an earlier pass, joined by one union stage
-/// ("<name_prefix>union") producing `out_matches`. `suppressed`
-/// (graph-owned, e.g. via Dataflow::Own) counts the suppressed
-/// duplicate evaluations across all passes. A distinct `name_prefix`
-/// per call lets several multi-pass subgraphs coexist in one graph.
+/// subgraphs ("pass<i>/…"), each running over the entities with a valid
+/// key in that pass and a matcher that suppresses pairs already covered
+/// by an earlier pass, joined by one union stage ("union") producing
+/// kDatasetMatches. `suppressed` (graph-owned, e.g. via Dataflow::Own)
+/// counts the suppressed duplicate evaluations across all passes.
 /// `entities` and `passes` are not owned and must outlive Run().
-[[nodiscard]] Status AddMultiPassGraph(Dataflow* df, const StandardGraphOptions& options,
-                         uint32_t num_map_tasks,
-                         const std::vector<er::Entity>* entities,
-                         const std::vector<const er::BlockingFunction*>* passes,
-                         const er::Matcher* matcher,
-                         std::atomic<int64_t>* suppressed,
-                         const std::string& out_matches = kDatasetMatches,
-                         const std::string& name_prefix = "");
+[[nodiscard]] Status AddMultiPassGraph(
+    Dataflow* df, const StandardGraphOptions& options,
+    uint32_t num_map_tasks, const std::vector<er::Entity>* entities,
+    const std::vector<const er::BlockingFunction*>* passes,
+    const er::Matcher* matcher, std::atomic<int64_t>* suppressed);
 
 /// Section III: deduplication when some entities lack a blocking key,
 ///   match_B(R) = match_B(R−R∅) ∪ match_⊥(R−R∅, R∅) ∪ match_⊥(R∅),
 /// where ⊥ is the constant key — entities without a key are compared
-/// against everything. Each non-empty term becomes a standard subgraph
-/// ("<name_prefix>keyed/…", "<name_prefix>keyed_x_unkeyed/…",
-/// "<name_prefix>unkeyed/…") over `num_map_tasks` partitions, joined by
-/// one union stage ("<name_prefix>union") producing `out_matches`. The
-/// entities are split and copied while composing, so `entities` need not
-/// outlive the call; `blocking` and `matcher` must outlive Run().
+/// against everything. Each non-empty term becomes a source stage plus a
+/// standard subgraph ("keyed/…", "keyed_x_unkeyed/…", "unkeyed/…") over
+/// `num_map_tasks` partitions, joined by one union stage ("union")
+/// producing kDatasetMatches. A term's source stage copies its share of
+/// `entities` when it runs; `entities`, `blocking` and `matcher` are not
+/// owned and must outlive Run().
 [[nodiscard]] Status AddMissingKeyDedupGraph(
     Dataflow* df, const StandardGraphOptions& options,
-    uint32_t num_map_tasks, const std::vector<er::Entity>& entities,
-    const er::BlockingFunction* blocking, const er::Matcher* matcher,
-    const std::string& out_matches = kDatasetMatches,
-    const std::string& name_prefix = "");
+    uint32_t num_map_tasks, const std::vector<er::Entity>* entities,
+    const er::BlockingFunction* blocking, const er::Matcher* matcher);
 
 /// Appendix I: linkage when some entities lack a blocking key,
 ///   match_B(R,S) = match_B(R−R∅, S−S∅) ∪ match_⊥(R, S∅)
 ///                  ∪ match_⊥(R∅, S−S∅),
-/// composed like AddMissingKeyDedupGraph with one two-source subgraph
-/// (LinkagePartitions) per non-empty term ("<name_prefix>keyed/…",
-/// "<name_prefix>r_x_unkeyed_s/…", "<name_prefix>unkeyed_r_x_keyed_s/…").
+/// composed like AddMissingKeyDedupGraph, each non-empty term's source
+/// laid out as LinkagePartitions does ("keyed/…", "r_x_unkeyed_s/…",
+/// "unkeyed_r_x_keyed_s/…").
 [[nodiscard]] Status AddMissingKeyLinkGraph(
     Dataflow* df, const StandardGraphOptions& options,
-    uint32_t num_map_tasks, const std::vector<er::Entity>& r_entities,
-    const std::vector<er::Entity>& s_entities,
-    const er::BlockingFunction* blocking, const er::Matcher* matcher,
-    const std::string& out_matches = kDatasetMatches,
-    const std::string& name_prefix = "");
+    uint32_t num_map_tasks, const std::vector<er::Entity>* r_entities,
+    const std::vector<er::Entity>* s_entities,
+    const er::BlockingFunction* blocking, const er::Matcher* matcher);
 
 }  // namespace core
 }  // namespace erlb

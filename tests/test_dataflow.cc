@@ -328,17 +328,25 @@ TEST(DataflowCsvTest, CsvSourceGraphMatchesVectorInput) {
   auto matches = df.Get<er::MatchResult>(core::kDatasetMatches);
   ASSERT_TRUE(matches.ok());
 
-  // The same graph over the same rows bound in memory, one partition per
-  // csv_split_records rows: the same match set.
+  // The same graph over the same rows bound in memory, cut into the
+  // partitions the CSV source cut (the header row takes a slot of the
+  // first split): the same pairs in the same order.
+  auto csv_input =
+      df.Get<core::PartitionedEntities>(core::kDatasetPartitions);
+  ASSERT_TRUE(csv_input.ok());
   core::PartitionedEntities input;
-  for (size_t i = 0; i < entities.size(); ++i) {
-    if (i % config.csv_split_records == 0) input.partitions.emplace_back();
-    input.partitions.back().push_back(er::MakeEntityRef(entities[i]));
+  size_t next = 0;
+  for (const auto& split : (*csv_input)->partitions) {
+    input.partitions.emplace_back();
+    for (size_t i = 0; i < split.size(); ++i) {
+      input.partitions.back().push_back(er::MakeEntityRef(entities[next++]));
+    }
   }
+  ASSERT_EQ(next, entities.size());
   auto in_memory =
       RunStandardGraph(config, config, std::move(input), blocking, matcher);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
-  EXPECT_TRUE((*matches)->SameAs(in_memory->matches));
+  EXPECT_EQ((*matches)->pairs(), in_memory->matches.pairs());
   EXPECT_GT((*matches)->size(), 0u);
 
   // ceil(500 / 128) = 4 splits; the ingest stage reports the row count.

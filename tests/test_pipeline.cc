@@ -230,6 +230,24 @@ TEST(PipelineConfigValidateTest, ZeroKnobsRejected) {
   knobs.options.execution.io_buffer_bytes = 0;
   expect_invalid(knobs, "io_buffer_bytes", /*from_csv=*/false);
   expect_invalid(knobs, "io_buffer_bytes", /*from_csv=*/true);
+
+  // Two-source input rejects a zero m as well, both where the partitions
+  // are laid out and where the missing-key linkage graph is composed; an
+  // m of 1 still gives each source its own partition.
+  const auto s_entities = SmallProducts(40, 6);
+  auto linkage = LinkagePartitions(entities, s_entities, 0);
+  EXPECT_TRUE(linkage.status().IsInvalidArgument())
+      << linkage.status().ToString();
+  EXPECT_NE(linkage.status().ToString().find("num_map_tasks"),
+            std::string::npos);
+  Dataflow link_df;
+  Status link_status =
+      AddMissingKeyLinkGraph(&link_df, StandardGraphOptions{}, 0, &entities,
+                             &s_entities, &blocking, &matcher);
+  EXPECT_TRUE(link_status.IsInvalidArgument()) << link_status.ToString();
+  auto minimal = LinkagePartitions(entities, s_entities, 1);
+  ASSERT_TRUE(minimal.ok()) << minimal.status().ToString();
+  EXPECT_EQ(minimal->partitions.size(), 2u);
 }
 
 TEST(PipelineTest, EmptyInputRejected) {
@@ -284,7 +302,7 @@ TEST(PipelineTest, DeduplicateWithMissingKeysComparesBottomAgainstAll) {
   const StandardGraphOptions graph =
       GraphOptions(lb::StrategyKind::kBlockSplit, 3);
   ASSERT_TRUE(AddMissingKeyDedupGraph(&df, graph, /*num_map_tasks=*/2,
-                                      entities, &blocking, &accept_all)
+                                      &entities, &blocking, &accept_all)
                   .ok());
   auto result = RunGraph(&df);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -311,7 +329,7 @@ TEST(PipelineTest, LinkWithMissingKeysFollowsAppendixDecomposition) {
   const StandardGraphOptions graph =
       GraphOptions(lb::StrategyKind::kBlockSplit, 2);
   ASSERT_TRUE(AddMissingKeyLinkGraph(&df, graph, /*num_map_tasks=*/2,
-                                     r_entities, s_entities, &blocking,
+                                     &r_entities, &s_entities, &blocking,
                                      &accept_all)
                   .ok());
   auto result = RunGraph(&df);
